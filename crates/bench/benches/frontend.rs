@@ -14,9 +14,9 @@ use std::hint::black_box;
 use btb_model::policies::Lru;
 use btb_trace::Trace;
 use btb_workloads::{AppSpec, InputConfig};
-use sim_support::{pool, BenchHarness};
+use sim_support::BenchHarness;
 use thermometer::pipeline::{Pipeline, PipelineConfig};
-use thermometer_bench::{figure_by_id, Scale};
+use thermometer_bench::{run_figure, RunCtx, Scale};
 use uarch_sim::{Frontend, FrontendConfig};
 
 const STREAM_LEN: usize = 200_000;
@@ -48,19 +48,19 @@ fn main() {
     // wall-clock may differ, by up to the machine's core count.
     let smoke = Scale::smoke();
     let cells = Some(smoke.apps.len() as u64);
-    pool::set_threads(1);
+    let mut serial = RunCtx::new(1);
     harness.bench("fig01_grid_serial", cells, || {
-        black_box(figure_by_id("fig01", &smoke))
+        black_box(run_figure(&mut serial, "fig01", &smoke))
     });
-    pool::set_threads(0); // default: SIM_THREADS or available parallelism
+    let mut pooled = RunCtx::default(); // SIM_THREADS or available parallelism
     harness.bench("fig01_grid_pooled", cells, || {
-        black_box(figure_by_id("fig01", &smoke))
+        black_box(run_figure(&mut pooled, "fig01", &smoke))
     });
     harness.note(&format!(
         "fig01_grid_pooled ran with {} worker thread(s); cells are independent, so \
          figures all --threads N scales with cores until cells per figure (3-13) are exhausted. \
          Full-sweep before/after wall-clock for this machine is recorded in results/grid_stats.json.",
-        pool::configured_threads()
+        pooled.threads()
     ));
     harness.finish(RESULTS_DIR);
 }

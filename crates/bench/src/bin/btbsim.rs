@@ -19,6 +19,7 @@ use btb_trace::{read_binary_batched, Trace};
 use sim_support::pool;
 use thermometer::pipeline::{Pipeline, PipelineConfig, POLICY_NAMES};
 use thermometer::{HintTable, PolicyKind, TemperatureConfig};
+use thermometer_bench::RunCtx;
 use uarch_sim::{FrontendConfig, SimReport};
 
 fn main() {
@@ -32,13 +33,14 @@ fn main() {
     });
     let ways: usize =
         flag(&args, "--ways").map_or(4, |v| v.parse().unwrap_or_else(|_| usage("bad --ways")));
-    if let Some(threads) = flag(&args, "--threads") {
+    let threads = flag(&args, "--threads").map(|threads| {
         let n: usize = threads.parse().unwrap_or_else(|_| usage("bad --threads"));
         if n == 0 {
             usage("--threads must be >= 1");
         }
-        pool::set_threads(n);
-    }
+        n
+    });
+    let ctx = RunCtx::new(pool::resolve_threads(threads));
 
     let trace = load(path);
     let pipeline = Pipeline::new(PipelineConfig {
@@ -85,7 +87,7 @@ fn main() {
     });
 
     // Scatter the runs, gather reports in the order the policies were given.
-    let reports = pool::par_map(&policies, |_, name| {
+    let reports = pool::par_map(ctx.pool(), &policies, |_, name| {
         pipeline
             .run_named(&trace, name, hints.as_ref())
             // justified expect: every policy name was checked against

@@ -39,9 +39,10 @@
 
 use std::time::Instant;
 
-use sim_support::{fault, fsio, pool};
+use sim_support::{fault, fsio, pool, FaultPlan, FaultState, IoFaults, ProcFaultPlan};
 use thermometer_bench::{
-    figure_by_id, grid, journal, merge, sweep, Journal, Scale, ShardSpec, SweepConfig, FIGURE_IDS,
+    journal, merge, run_figure, sweep, FaultPolicy, Journal, RunCtx, Scale, ShardSpec, SweepConfig,
+    FIGURE_IDS,
 };
 
 fn main() {
@@ -144,7 +145,7 @@ fn run_sweep_cli(args: Vec<String>) -> ! {
             "--fault-plan" => cfg.fault_plan = Some(value.clone()),
             "--proc-fault" => {
                 // Validate up front so a typo fails the sweep, not the fleet.
-                sim_support::ProcFaultPlan::parse(value).unwrap_or_else(|e| usage(&e));
+                ProcFaultPlan::parse(value).unwrap_or_else(|e| usage(&e));
                 cfg.proc_fault = Some(value.clone());
             }
             "--max-restarts" => cfg.max_restarts = parse_u64() as u32,
@@ -217,14 +218,17 @@ fn emit_merge_outputs(
 ) -> ! {
     print!("{}", outcome.display);
     let journal_path = std::path::Path::new(journal_out);
-    if let Err(e) = fsio::write_atomic(journal_path, outcome.journal_bytes().as_bytes()) {
+    let faults = &mut IoFaults::default();
+    if let Err(e) = fsio::write_atomic(journal_path, outcome.journal_bytes().as_bytes(), faults) {
         eprintln!("failed to write {journal_out}: {e}");
         std::process::exit(1);
     }
     eprintln!("wrote {journal_out}");
     if let Some(path) = markdown {
         let report = outcome.report(scale);
-        if let Err(e) = fsio::write_atomic_retry(std::path::Path::new(path), report.as_bytes(), 3) {
+        if let Err(e) =
+            fsio::write_atomic_retry(std::path::Path::new(path), report.as_bytes(), 3, faults)
+        {
             eprintln!("failed to write {path}: {e}");
             std::process::exit(1);
         }
@@ -257,6 +261,7 @@ fn run_worker(args: Vec<String>) {
     let mut quarantine = false;
     let mut max_retries: u32 = 0;
     let mut fault_plan: Option<String> = None;
+    let mut threads: Option<usize> = None;
     let mut shard: Option<ShardSpec> = None;
     let mut attempt: u32 = 0;
     let mut proc_fault: Option<String> = None;
@@ -278,7 +283,7 @@ fn run_worker(args: Vec<String>) {
                 if n == 0 {
                     usage("--threads must be >= 1");
                 }
-                pool::set_threads(n);
+                threads = Some(n);
             }
             "--grid-stats" => {
                 grid_stats_path = iter
@@ -342,12 +347,14 @@ fn run_worker(args: Vec<String>) {
         eprintln!("shard {spec}: {} figure(s)", ids.len());
     }
 
+    // The run's whole configuration and sinks, passed down explicitly.
+    let mut ctx = RunCtx::new(pool::resolve_threads(threads));
     if let Some(spec) = &fault_plan {
-        let plan = sim_support::FaultPlan::parse(spec).unwrap_or_else(|e| usage(&e));
-        fault::install(plan);
+        let plan = FaultPlan::parse(spec).unwrap_or_else(|e| usage(&e));
+        ctx.faults = FaultState::new(plan);
     }
     if let Some(spec) = &proc_fault {
-        let plan = sim_support::ProcFaultPlan::parse(spec).unwrap_or_else(|e| usage(&e));
+        let plan = ProcFaultPlan::parse(spec).unwrap_or_else(|e| usage(&e));
         let number = shard.map_or(1, |s| s.number) as u64;
         if let Some(planned) = plan.fault_for(number, attempt) {
             eprintln!(
@@ -355,21 +362,22 @@ fn run_worker(args: Vec<String>) {
                 planned.kind.name(),
                 planned.after_cells
             );
-            fault::arm_proc_fault(planned, Some(std::path::PathBuf::from(&journal_path)));
+            ctx.faults
+                .arm_proc_fault(planned, Some(std::path::PathBuf::from(&journal_path)));
         }
     }
     if quarantine {
-        grid::set_fault_policy(grid::FaultPolicy {
+        ctx.policy = FaultPolicy {
             isolate: true,
             max_retries,
-        });
+        };
         // Quarantined cells report through grid_stats.json; the default
         // multi-line panic hook would only drown the run log.
         fault::silence_injected_panics();
     }
 
     let scale = Scale::from_env();
-    let threads = pool::configured_threads();
+    let threads = ctx.threads();
     eprintln!(
         "scale: {} records/app, {} apps, cbp {}x{}, ipc1 {}x{}, {} thread{}",
         scale.trace_len,
@@ -396,21 +404,21 @@ fn run_worker(args: Vec<String>) {
             }
             Ok(None) => {
                 eprintln!("resume: no usable journal at {journal_path}; starting fresh");
-                if let Err(e) = journal.start(&fingerprint) {
+                if let Err(e) = journal.start(&fingerprint, &mut ctx.faults.io) {
                     eprintln!("cannot start journal {journal_path}: {e}");
                 }
                 journal::Loaded::default()
             }
             Err(e) => {
                 eprintln!("cannot read journal {journal_path}: {e}; starting fresh");
-                if let Err(e) = journal.start(&fingerprint) {
+                if let Err(e) = journal.start(&fingerprint, &mut ctx.faults.io) {
                     eprintln!("cannot start journal {journal_path}: {e}");
                 }
                 journal::Loaded::default()
             }
         }
     } else {
-        if let Err(e) = journal.start(&fingerprint) {
+        if let Err(e) = journal.start(&fingerprint, &mut ctx.faults.io) {
             eprintln!("cannot start journal {journal_path}: {e}");
         }
         journal::Loaded::default()
@@ -418,21 +426,15 @@ fn run_worker(args: Vec<String>) {
 
     // Every settled cell appends one fsync'd journal line, in canonical
     // order, from the gathering thread.
-    {
-        let hook_journal = Journal::new(&journal_path);
-        grid::set_cell_hook(Some(Box::new(move |outcome| {
-            if let Err(e) = hook_journal.append_cell(&outcome) {
-                eprintln!("journal append failed: {e}");
-            }
-        })));
-    }
-
-    grid::reset_stats();
-    for q in &replayed.quarantined {
-        // Re-surface quarantine records of replayed figures so a resumed
-        // run's grid_stats.json still names every dropped cell.
-        grid::record_quarantined(q.clone());
-    }
+    let hook_journal = Journal::new(&journal_path);
+    ctx.hook = Some(Box::new(move |outcome, faults| {
+        if let Err(e) = hook_journal.append_cell(&outcome, faults) {
+            eprintln!("journal append failed: {e}");
+        }
+    }));
+    // Re-surface quarantine records of replayed figures so a resumed run's
+    // grid_stats.json still names every dropped cell.
+    ctx.quarantined.extend(replayed.quarantined.iter().cloned());
     let run_start = Instant::now();
 
     let mut replayed_count = 0usize;
@@ -446,7 +448,7 @@ fn run_worker(args: Vec<String>) {
             continue;
         }
         let start = Instant::now();
-        match figure_by_id(id, &scale) {
+        match run_figure(&mut ctx, id, &scale) {
             Some(figs) => {
                 let mut display = String::new();
                 let mut markdown = String::new();
@@ -456,7 +458,7 @@ fn run_worker(args: Vec<String>) {
                 }
                 print!("{display}");
                 sections.push(markdown.clone());
-                if let Err(e) = journal.append_figure(id, &display, &markdown) {
+                if let Err(e) = journal.append_figure(id, &display, &markdown, &mut ctx.faults.io) {
                     eprintln!("journal commit failed for {id}: {e}");
                 }
                 eprintln!("[{id} done in {:.1?}]", start.elapsed());
@@ -467,15 +469,13 @@ fn run_worker(args: Vec<String>) {
             }
         }
     }
-    grid::set_cell_hook(None);
+    ctx.hook = None;
 
     let total_wall_ms = run_start.elapsed().as_secs_f64() * 1e3;
-    let cells = grid::take_stats();
-    let quarantined = grid::take_quarantined();
     let mut notes = vec![format!(
         "{} cells over {} thread{} in {:.1} s; speedup scales with cores because cells are \
          independent (tests/grid_parallel.rs proves output is identical at any width)",
-        cells.len(),
+        ctx.stats.len(),
         threads,
         if threads == 1 { "" } else { "s" },
         total_wall_ms / 1e3
@@ -485,21 +485,14 @@ fn run_worker(args: Vec<String>) {
             "{replayed_count} figure(s) replayed byte-for-byte from the checkpoint journal"
         ));
     }
-    if !quarantined.is_empty() {
+    if !ctx.quarantined.is_empty() {
         notes.push(format!(
             "{} cell(s) quarantined; see the quarantined section",
-            quarantined.len()
+            ctx.quarantined.len()
         ));
     }
     let stats_path = std::path::Path::new(&grid_stats_path);
-    match grid::write_grid_stats(
-        stats_path,
-        threads,
-        total_wall_ms,
-        &notes,
-        &cells,
-        &quarantined,
-    ) {
+    match ctx.write_grid_stats(stats_path, total_wall_ms, &notes) {
         Ok(()) => eprintln!("wrote {grid_stats_path}"),
         Err(e) => eprintln!("failed to write {grid_stats_path}: {e}"),
     }
@@ -511,12 +504,12 @@ fn run_worker(args: Vec<String>) {
         }
         // Atomic + bounded retry: a kill can truncate neither report, and
         // injected transient I/O faults are retried rather than fatal.
-        fsio::write_atomic_retry(std::path::Path::new(&path), out.as_bytes(), 3).unwrap_or_else(
-            |e| {
+        let faults = &mut ctx.faults.io;
+        fsio::write_atomic_retry(std::path::Path::new(&path), out.as_bytes(), 3, faults)
+            .unwrap_or_else(|e| {
                 eprintln!("failed to write {path}: {e}");
                 std::process::exit(1);
-            },
-        );
+            });
         eprintln!("wrote {path}");
     }
 }

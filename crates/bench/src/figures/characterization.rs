@@ -11,14 +11,14 @@ use uarch_sim::prefetch::{Confluence, ShotgunBtb};
 use uarch_sim::{Frontend, PerfectOptions};
 
 use super::test_trace;
-use crate::per_app;
 use crate::scale::Scale;
 use crate::text::{FigureResult, Row};
+use crate::{per_app, RunCtx};
 
 /// Fig. 1: speedup of SRRIP / GHRP / Hawkeye / OPT over LRU.
-pub fn fig01(scale: &Scale) -> FigureResult {
+pub fn fig01(ctx: &mut RunCtx, scale: &Scale) -> FigureResult {
     let pipeline = Pipeline::new(PipelineConfig::default());
-    let rows = per_app("fig01", &scale.apps, |spec| {
+    let rows = per_app(ctx, "fig01", &scale.apps, |spec| {
         let trace = test_trace(spec, scale);
         let lru = pipeline.run_lru(&trace);
         let values = vec![
@@ -49,9 +49,9 @@ pub fn fig01(scale: &Scale) -> FigureResult {
 }
 
 /// Fig. 2: limit study — perfect BTB / branch predictor / I-cache.
-pub fn fig02(scale: &Scale) -> FigureResult {
+pub fn fig02(ctx: &mut RunCtx, scale: &Scale) -> FigureResult {
     let pipeline = Pipeline::new(PipelineConfig::default());
-    let rows = per_app("fig02", &scale.apps, |spec| {
+    let rows = per_app(ctx, "fig02", &scale.apps, |spec| {
         let trace = test_trace(spec, scale);
         let lru = pipeline.run_lru(&trace);
         let perfect = |opts: PerfectOptions| pipeline.run_perfect(&trace, opts).speedup_over(&lru);
@@ -93,9 +93,9 @@ pub fn fig02(scale: &Scale) -> FigureResult {
 }
 
 /// Fig. 3: L2 instruction MPKI per application.
-pub fn fig03(scale: &Scale) -> FigureResult {
+pub fn fig03(ctx: &mut RunCtx, scale: &Scale) -> FigureResult {
     let pipeline = Pipeline::new(PipelineConfig::default());
-    let rows = per_app("fig03", &scale.apps, |spec| {
+    let rows = per_app(ctx, "fig03", &scale.apps, |spec| {
         let trace = test_trace(spec, scale);
         let report = pipeline.run_lru(&trace);
         Row::new(spec.name.clone(), vec![report.l2_impki()])
@@ -117,9 +117,9 @@ pub fn fig03(scale: &Scale) -> FigureResult {
 
 /// Fig. 4: BTB prefetching (Confluence / Shotgun) with LRU and OPT, vs. a
 /// perfect BTB.
-pub fn fig04(scale: &Scale) -> FigureResult {
+pub fn fig04(ctx: &mut RunCtx, scale: &Scale) -> FigureResult {
     let pipeline = Pipeline::new(PipelineConfig::default());
-    let rows = per_app("fig04", &scale.apps, |spec| {
+    let rows = per_app(ctx, "fig04", &scale.apps, |spec| {
         let trace = test_trace(spec, scale);
         let config = pipeline.config().frontend;
         let lru = pipeline.run_lru(&trace);
@@ -212,9 +212,9 @@ pub fn fig04(scale: &Scale) -> FigureResult {
 }
 
 /// Fig. 5: transient vs. holistic reuse-distance variance.
-pub fn fig05(scale: &Scale) -> FigureResult {
+pub fn fig05(ctx: &mut RunCtx, scale: &Scale) -> FigureResult {
     let geometry = BtbConfig::table1().geometry();
-    let rows = per_app("fig05", &scale.apps, |spec| {
+    let rows = per_app(ctx, "fig05", &scale.apps, |spec| {
         let trace = test_trace(spec, scale);
         let summary = ReuseAnalysis::measure(&trace, &geometry).variance_summary();
         Row::new(spec.name.clone(), vec![summary.transient, summary.holistic])
@@ -267,9 +267,9 @@ fn sample_curve(points: &[analysis::HeatPoint]) -> Vec<f64> {
 }
 
 /// Fig. 6: hit-to-taken distribution under OPT (hottest branches first).
-pub fn fig06(scale: &Scale) -> FigureResult {
+pub fn fig06(ctx: &mut RunCtx, scale: &Scale) -> FigureResult {
     let apps = curve_apps(scale);
-    let curves = per_app("fig06", &apps, |spec| {
+    let curves = per_app(ctx, "fig06", &apps, |spec| {
         let trace = test_trace(spec, scale);
         let profile = OptProfile::measure(&trace, BtbConfig::table1());
         (
@@ -303,9 +303,9 @@ pub fn fig06(scale: &Scale) -> FigureResult {
 }
 
 /// Fig. 7: cumulative dynamic-access share of the hottest branches.
-pub fn fig07(scale: &Scale) -> FigureResult {
+pub fn fig07(ctx: &mut RunCtx, scale: &Scale) -> FigureResult {
     let apps = curve_apps(scale);
-    let curves = per_app("fig07", &apps, |spec| {
+    let curves = per_app(ctx, "fig07", &apps, |spec| {
         let trace = test_trace(spec, scale);
         let profile = OptProfile::measure(&trace, BtbConfig::table1());
         (
@@ -335,9 +335,9 @@ pub fn fig07(scale: &Scale) -> FigureResult {
 }
 
 /// Fig. 8: correlation of branch properties with temperature.
-pub fn fig08(scale: &Scale) -> FigureResult {
+pub fn fig08(ctx: &mut RunCtx, scale: &Scale) -> FigureResult {
     let geometry = BtbConfig::table1().geometry();
-    let rows = per_app("fig08", &scale.apps, |spec| {
+    let rows = per_app(ctx, "fig08", &scale.apps, |spec| {
         let trace = test_trace(spec, scale);
         let profile = OptProfile::measure(&trace, BtbConfig::table1());
         let c = analysis::correlations(&trace, &profile, &geometry);
@@ -377,9 +377,9 @@ pub fn fig08(scale: &Scale) -> FigureResult {
 }
 
 /// Fig. 9: bypass ratio by temperature class under OPT.
-pub fn fig09(scale: &Scale) -> FigureResult {
+pub fn fig09(ctx: &mut RunCtx, scale: &Scale) -> FigureResult {
     let temp = TemperatureConfig::paper_default();
-    let rows = per_app("fig09", &scale.apps, |spec| {
+    let rows = per_app(ctx, "fig09", &scale.apps, |spec| {
         let trace = test_trace(spec, scale);
         let profile = OptProfile::measure(&trace, BtbConfig::table1());
         let by_temp = analysis::bypass_by_temperature(&profile, &temp);

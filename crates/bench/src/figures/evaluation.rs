@@ -12,16 +12,16 @@ use thermometer::pipeline::{Pipeline, PipelineConfig};
 use thermometer::{HolisticOnly, ThermometerPolicy};
 
 use super::{test_trace, train_trace};
-use crate::per_app;
 use crate::scale::Scale;
 use crate::text::{FigureResult, Row};
+use crate::{per_app, RunCtx};
 
 /// Fig. 11: Thermometer (including the 7979-entry iso-storage variant) vs.
 /// prior policies and OPT.
-pub fn fig11(scale: &Scale) -> FigureResult {
+pub fn fig11(ctx: &mut RunCtx, scale: &Scale) -> FigureResult {
     let pipeline = Pipeline::new(PipelineConfig::default());
     let iso = pipeline.with_btb(BtbConfig::iso_storage_7979());
-    let rows = per_app("fig11", &scale.apps, |spec| {
+    let rows = per_app(ctx, "fig11", &scale.apps, |spec| {
         let train = train_trace(spec, scale);
         let test = test_trace(spec, scale);
         let hints = pipeline.profile_to_hints(&train);
@@ -67,9 +67,9 @@ pub fn fig11(scale: &Scale) -> FigureResult {
 }
 
 /// Fig. 12: BTB miss reduction over LRU.
-pub fn fig12(scale: &Scale) -> FigureResult {
+pub fn fig12(ctx: &mut RunCtx, scale: &Scale) -> FigureResult {
     let pipeline = Pipeline::new(PipelineConfig::default());
-    let rows = per_app("fig12", &scale.apps, |spec| {
+    let rows = per_app(ctx, "fig12", &scale.apps, |spec| {
         let train = train_trace(spec, scale);
         let test = test_trace(spec, scale);
         let hints = pipeline.profile_to_hints(&train);
@@ -108,9 +108,9 @@ pub fn fig12(scale: &Scale) -> FigureResult {
 
 /// Fig. 13: generalization across inputs — training-input profile vs.
 /// same-input profile, as a percentage of the optimal speedup.
-pub fn fig13(scale: &Scale) -> FigureResult {
+pub fn fig13(ctx: &mut RunCtx, scale: &Scale) -> FigureResult {
     let pipeline = Pipeline::new(PipelineConfig::default());
-    let per_app_rows = per_app("fig13", &scale.apps, |spec| {
+    let per_app_rows = per_app(ctx, "fig13", &scale.apps, |spec| {
         let train = train_trace(spec, scale);
         let train_hints = pipeline.profile_to_hints(&train);
         let mut rows = Vec::new();
@@ -172,9 +172,9 @@ pub fn fig13(scale: &Scale) -> FigureResult {
 /// OPT replay processes — plus the unique-branch count that sizes the
 /// resulting profile. Measured wall-clock per access lives in the bench
 /// harness (`cargo bench --bench profiling` → `results/bench_profiling.json`).
-pub fn fig14(scale: &Scale) -> FigureResult {
+pub fn fig14(ctx: &mut RunCtx, scale: &Scale) -> FigureResult {
     let pipeline = Pipeline::new(PipelineConfig::default());
-    let rows = per_app("fig14", &scale.apps, |spec| {
+    let rows = per_app(ctx, "fig14", &scale.apps, |spec| {
         let train = train_trace(spec, scale);
         let profile = pipeline.profile(&train);
         let accesses: u64 = profile.branches.values().map(|c| c.taken).sum();
@@ -207,9 +207,9 @@ pub fn fig14(scale: &Scale) -> FigureResult {
 
 /// Fig. 15: replacement coverage — evictions where the temperature
 /// distinguished the candidates.
-pub fn fig15(scale: &Scale) -> FigureResult {
+pub fn fig15(ctx: &mut RunCtx, scale: &Scale) -> FigureResult {
     let pipeline = Pipeline::new(PipelineConfig::default());
-    let rows = per_app("fig15", &scale.apps, |spec| {
+    let rows = per_app(ctx, "fig15", &scale.apps, |spec| {
         let train = train_trace(spec, scale);
         let test = test_trace(spec, scale);
         let hints = pipeline.profile_to_hints(&train);
@@ -235,10 +235,10 @@ pub fn fig15(scale: &Scale) -> FigureResult {
 
 /// Fig. 16: replacement accuracy of transient-only (LRU), holistic-only,
 /// and Thermometer decisions.
-pub fn fig16(scale: &Scale) -> FigureResult {
+pub fn fig16(ctx: &mut RunCtx, scale: &Scale) -> FigureResult {
     let config = BtbConfig::table1();
     let pipeline = Pipeline::new(PipelineConfig::default());
-    let rows = per_app("fig16", &scale.apps, |spec| {
+    let rows = per_app(ctx, "fig16", &scale.apps, |spec| {
         let train = train_trace(spec, scale);
         let test = test_trace(spec, scale);
         let hints = pipeline.profile_to_hints(&train);

@@ -22,14 +22,14 @@ use thermometer::{
 use uarch_sim::{Frontend, SimReport};
 
 use super::{test_trace, train_trace};
-use crate::per_app;
 use crate::scale::Scale;
 use crate::text::{FigureResult, Row};
+use crate::{per_app, RunCtx};
 
 /// Extension: every implemented replacement policy over LRU.
-pub fn extra_policies(scale: &Scale) -> FigureResult {
+pub fn extra_policies(ctx: &mut RunCtx, scale: &Scale) -> FigureResult {
     let pipeline = Pipeline::new(PipelineConfig::default());
-    let rows = per_app("extra-policies", &scale.apps, |spec| {
+    let rows = per_app(ctx, "extra-policies", &scale.apps, |spec| {
         let test = test_trace(spec, scale);
         let lru = pipeline.run_lru(&test);
         Row::new(
@@ -77,9 +77,9 @@ pub fn extra_policies(scale: &Scale) -> FigureResult {
 /// replaces the transient signal entirely. Both consume the *same* hint
 /// table trained on input #0, tested on input #1. The pinned column is an
 /// in-figure differential: it must numerically equal SRRIP.
-pub fn trrip_grid(scale: &Scale) -> FigureResult {
+pub fn trrip_grid(ctx: &mut RunCtx, scale: &Scale) -> FigureResult {
     let pipeline = Pipeline::new(PipelineConfig::default());
-    let rows = per_app("trrip", &scale.apps, |spec| {
+    let rows = per_app(ctx, "trrip", &scale.apps, |spec| {
         let train = train_trace(spec, scale);
         let test = test_trace(spec, scale);
         let hints = pipeline.profile_to_hints(&train);
@@ -146,11 +146,11 @@ fn run_hierarchy<B: BtbInterface>(
 /// transient policies (LRU, SRRIP) starve behind it; profile-guided hints
 /// (TRRIP, Thermometer) do not depend on observed recency. The exclusive
 /// organization fills the last level only with L1 victims, Micro BTB-style.
-pub fn hierarchy(scale: &Scale) -> FigureResult {
+pub fn hierarchy(ctx: &mut RunCtx, scale: &Scale) -> FigureResult {
     let pipeline = Pipeline::new(PipelineConfig::default());
     let l2 = pipeline.config().frontend.btb;
     let l1 = BtbConfig::new(l2.entries() / 8, l2.ways());
-    let rows = per_app("hierarchy", &scale.apps, |spec| {
+    let rows = per_app(ctx, "hierarchy", &scale.apps, |spec| {
         let train = train_trace(spec, scale);
         let test = test_trace(spec, scale);
         let hints = pipeline.profile_to_hints(&train);
@@ -254,9 +254,9 @@ fn cv_hints(pipeline: &Pipeline, train: &Trace) -> HintTable {
 }
 
 /// Extension: Thermometer component ablations.
-pub fn ablation(scale: &Scale) -> FigureResult {
+pub fn ablation(ctx: &mut RunCtx, scale: &Scale) -> FigureResult {
     let pipeline = Pipeline::new(PipelineConfig::default());
-    let rows = per_app("ablation", &scale.apps, |spec| {
+    let rows = per_app(ctx, "ablation", &scale.apps, |spec| {
         let train = train_trace(spec, scale);
         let test = test_trace(spec, scale);
         let hints = pipeline.profile_to_hints(&train);

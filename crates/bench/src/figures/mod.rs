@@ -13,6 +13,7 @@ pub use extensions::{ablation, extra_policies, hierarchy, trrip_grid};
 pub use sensitivity::{fig19_entries, fig19_ways, fig20_categories, fig20_ftq, fig21};
 pub use suites::{fig17, fig18};
 
+use crate::grid::RunCtx;
 use crate::scale::Scale;
 use crate::text::FigureResult;
 use btb_trace::Trace;
@@ -46,48 +47,45 @@ pub const FIGURE_IDS: [&str; 24] = [
     "hierarchy",
 ];
 
-/// Runs one figure by id (`"fig19"`/`"fig20"` produce both sub-tables).
+/// Runs one figure by id (`"fig19"`/`"fig20"` produce both sub-tables)
+/// within the run `ctx`.
 ///
 /// Returns `None` for an unknown id.
-pub fn figure_by_id(id: &str, scale: &Scale) -> Option<Vec<FigureResult>> {
+pub fn run_figure(ctx: &mut RunCtx, id: &str, scale: &Scale) -> Option<Vec<FigureResult>> {
     let figs = match id {
-        "fig01" => vec![fig01(scale)],
-        "fig02" => vec![fig02(scale)],
-        "fig03" => vec![fig03(scale)],
-        "fig04" => vec![fig04(scale)],
-        "fig05" => vec![fig05(scale)],
-        "fig06" => vec![fig06(scale)],
-        "fig07" => vec![fig07(scale)],
-        "fig08" => vec![fig08(scale)],
-        "fig09" => vec![fig09(scale)],
-        "fig11" => vec![fig11(scale)],
-        "fig12" => vec![fig12(scale)],
-        "fig13" => vec![fig13(scale)],
-        "fig14" => vec![fig14(scale)],
-        "fig15" => vec![fig15(scale)],
-        "fig16" => vec![fig16(scale)],
-        "fig17" => vec![fig17(scale)],
-        "fig18" => vec![fig18(scale)],
-        "fig19" => vec![fig19_entries(scale), fig19_ways(scale)],
-        "fig20" => vec![fig20_categories(scale), fig20_ftq(scale)],
-        "fig21" => vec![fig21(scale)],
-        "extra-policies" => vec![extra_policies(scale)],
-        "ablation" => vec![ablation(scale)],
-        "trrip" => vec![trrip_grid(scale)],
-        "hierarchy" => vec![hierarchy(scale)],
+        "fig01" => vec![fig01(ctx, scale)],
+        "fig02" => vec![fig02(ctx, scale)],
+        "fig03" => vec![fig03(ctx, scale)],
+        "fig04" => vec![fig04(ctx, scale)],
+        "fig05" => vec![fig05(ctx, scale)],
+        "fig06" => vec![fig06(ctx, scale)],
+        "fig07" => vec![fig07(ctx, scale)],
+        "fig08" => vec![fig08(ctx, scale)],
+        "fig09" => vec![fig09(ctx, scale)],
+        "fig11" => vec![fig11(ctx, scale)],
+        "fig12" => vec![fig12(ctx, scale)],
+        "fig13" => vec![fig13(ctx, scale)],
+        "fig14" => vec![fig14(ctx, scale)],
+        "fig15" => vec![fig15(ctx, scale)],
+        "fig16" => vec![fig16(ctx, scale)],
+        "fig17" => vec![fig17(ctx, scale)],
+        "fig18" => vec![fig18(ctx, scale)],
+        "fig19" => vec![fig19_entries(ctx, scale), fig19_ways(ctx, scale)],
+        "fig20" => vec![fig20_categories(ctx, scale), fig20_ftq(ctx, scale)],
+        "fig21" => vec![fig21(ctx, scale)],
+        "extra-policies" => vec![extra_policies(ctx, scale)],
+        "ablation" => vec![ablation(ctx, scale)],
+        "trrip" => vec![trrip_grid(ctx, scale)],
+        "hierarchy" => vec![hierarchy(ctx, scale)],
         _ => return None,
     };
     Some(figs)
 }
 
-/// Runs every figure in paper order.
-pub fn all_figures(scale: &Scale) -> Vec<FigureResult> {
-    FIGURE_IDS
-        .iter()
-        // justified expect: ids come from FIGURE_IDS itself, which
-        // figure_by_id dispatches on — never from external input.
-        .flat_map(|id| figure_by_id(id, scale).expect("registered id"))
-        .collect()
+/// [`run_figure`] in a fresh default [`RunCtx`]: fault-free, panics
+/// propagate, width from `SIM_THREADS` or the machine.
+pub fn figure_by_id(id: &str, scale: &Scale) -> Option<Vec<FigureResult>> {
+    run_figure(&mut RunCtx::default(), id, scale)
 }
 
 /// The training trace (input `#0`) for an application.

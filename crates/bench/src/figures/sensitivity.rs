@@ -9,9 +9,9 @@ use uarch_sim::prefetch::TwigPrefetcher;
 use uarch_sim::FrontendConfig;
 
 use super::{test_trace, train_trace};
-use crate::per_app;
 use crate::scale::Scale;
 use crate::text::{FigureResult, Row};
+use crate::{per_app, RunCtx};
 
 /// The three applications the paper's sensitivity plots track.
 const SWEEP_APPS: [&str; 3] = ["cassandra", "drupal", "tomcat"];
@@ -56,10 +56,10 @@ fn sweep_columns(apps: &[AppSpec]) -> Vec<String> {
 }
 
 /// Fig. 19 (left): sensitivity to the number of BTB entries.
-pub fn fig19_entries(scale: &Scale) -> FigureResult {
+pub fn fig19_entries(ctx: &mut RunCtx, scale: &Scale) -> FigureResult {
     let apps = sweep_apps(scale);
     let sizes = [1024usize, 2048, 4096, 8192, 16384, 32768];
-    let per_app_curves = per_app("fig19-entries", &apps, |spec| {
+    let per_app_curves = per_app(ctx, "fig19-entries", &apps, |spec| {
         let train = train_trace(spec, scale);
         let test = test_trace(spec, scale);
         sizes
@@ -99,10 +99,10 @@ pub fn fig19_entries(scale: &Scale) -> FigureResult {
 }
 
 /// Fig. 19 (right): sensitivity to associativity (8192 entries).
-pub fn fig19_ways(scale: &Scale) -> FigureResult {
+pub fn fig19_ways(ctx: &mut RunCtx, scale: &Scale) -> FigureResult {
     let apps = sweep_apps(scale);
     let ways_list = [4usize, 8, 16, 32, 64, 128];
-    let per_app_curves = per_app("fig19-ways", &apps, |spec| {
+    let per_app_curves = per_app(ctx, "fig19-ways", &apps, |spec| {
         let train = train_trace(spec, scale);
         let test = test_trace(spec, scale);
         ways_list
@@ -138,10 +138,10 @@ pub fn fig19_ways(scale: &Scale) -> FigureResult {
 }
 
 /// Fig. 20 (left): sensitivity to the number of temperature categories.
-pub fn fig20_categories(scale: &Scale) -> FigureResult {
+pub fn fig20_categories(ctx: &mut RunCtx, scale: &Scale) -> FigureResult {
     let apps = sweep_apps(scale);
     let category_counts = [2usize, 3, 4, 8, 16];
-    let per_app_curves = per_app("fig20-categories", &apps, |spec| {
+    let per_app_curves = per_app(ctx, "fig20-categories", &apps, |spec| {
         let train = train_trace(spec, scale);
         let test = test_trace(spec, scale);
         category_counts
@@ -188,10 +188,10 @@ pub fn fig20_categories(scale: &Scale) -> FigureResult {
 }
 
 /// Fig. 20 (right): sensitivity to the FTQ size (FDIP run-ahead).
-pub fn fig20_ftq(scale: &Scale) -> FigureResult {
+pub fn fig20_ftq(ctx: &mut RunCtx, scale: &Scale) -> FigureResult {
     let apps = sweep_apps(scale);
     let ftq_sizes = [64u32, 128, 192, 256];
-    let per_app_curves = per_app("fig20-ftq", &apps, |spec| {
+    let per_app_curves = per_app(ctx, "fig20-ftq", &apps, |spec| {
         let train = train_trace(spec, scale);
         let test = test_trace(spec, scale);
         ftq_sizes
@@ -237,9 +237,9 @@ pub fn fig20_ftq(scale: &Scale) -> FigureResult {
 }
 
 /// Fig. 21: composing Thermometer with the Twig BTB prefetcher.
-pub fn fig21(scale: &Scale) -> FigureResult {
+pub fn fig21(ctx: &mut RunCtx, scale: &Scale) -> FigureResult {
     let pipeline = Pipeline::new(PipelineConfig::default());
-    let rows = per_app("fig21", &scale.apps, |spec| {
+    let rows = per_app(ctx, "fig21", &scale.apps, |spec| {
         let train = train_trace(spec, scale);
         let test = test_trace(spec, scale);
         let hints = pipeline.profile_to_hints(&train);

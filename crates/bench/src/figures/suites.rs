@@ -7,9 +7,9 @@ use thermometer::pipeline::{Pipeline, PipelineConfig};
 use thermometer::temperature::{default_candidates, two_fold_thresholds};
 use thermometer::{HintTable, OptProfile, TemperatureConfig};
 
-use crate::per_app_traces;
 use crate::scale::Scale;
 use crate::text::{FigureResult, Row};
+use crate::{per_app_traces, RunCtx};
 
 /// Percentiles reported for the per-trace distributions.
 const PERCENTILES: [(f64, &str); 7] = [
@@ -32,11 +32,11 @@ fn percentile(sorted: &[f64], q: f64) -> f64 {
 
 /// Fig. 17: BTB miss reduction of Thermometer over GHRP on the CBP-5-style
 /// suite, with fixed (50/80) and two-fold cross-validated thresholds.
-pub fn fig17(scale: &Scale) -> FigureResult {
+pub fn fig17(ctx: &mut RunCtx, scale: &Scale) -> FigureResult {
     let traces = cbp5_suite(SuiteParams::new(scale.cbp_count, scale.cbp_len));
     let pipeline = Pipeline::new(PipelineConfig::default());
 
-    let per_trace: Vec<(f64, f64, f64)> = per_app_traces("fig17", &traces, |trace| {
+    let per_trace: Vec<(f64, f64, f64)> = per_app_traces(ctx, "fig17", &traces, |trace| {
         let ghrp = pipeline.run_ghrp(trace);
         let profile = pipeline.profile(trace);
         let fixed_hints = HintTable::from_profile(&profile, &TemperatureConfig::paper_default());
@@ -115,11 +115,11 @@ pub fn fig17(scale: &Scale) -> FigureResult {
 }
 
 /// Fig. 18: IPC speedup over LRU on the IPC-1-style suite.
-pub fn fig18(scale: &Scale) -> FigureResult {
+pub fn fig18(ctx: &mut RunCtx, scale: &Scale) -> FigureResult {
     let traces = ipc1_suite(SuiteParams::new(scale.ipc1_count, scale.ipc1_len));
     let pipeline = Pipeline::new(PipelineConfig::default());
 
-    let per_trace: Vec<(Vec<f64>, f64)> = per_app_traces("fig18", &traces, |trace| {
+    let per_trace: Vec<(Vec<f64>, f64)> = per_app_traces(ctx, "fig18", &traces, |trace| {
         let lru = pipeline.run_lru(trace);
         let hints = pipeline.profile_to_hints(trace);
         let speedups = vec![

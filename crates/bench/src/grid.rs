@@ -23,38 +23,46 @@
 //!   convention, and `tests/grid_parallel.rs` runs the cells in permuted
 //!   order to prove results are order-independent.
 //!
+//! # Run context
+//!
+//! Everything a run configures or accumulates lives in one owned
+//! [`RunCtx`]: the worker pool, the fault plan and [`FaultPolicy`], the
+//! per-cell [hook](RunCtx::hook), and the stats and quarantine sinks. The
+//! binaries build it once and pass it down explicitly, through the figure
+//! functions to [`RunCtx::run_cells`]. Nothing is process-global, so two
+//! runs in one process (parallel tests) cannot see each other's settings.
+//!
 //! # Observability
 //!
 //! Each cell records wall-time, simulated BTB accesses (reported by
-//! [`note_accesses`]) and the pool queue depth at dispatch into a
-//! process-wide registry; the `figures` binary drains it into
-//! `results/grid_stats.json` via [`write_grid_stats`].
+//! [`note_accesses`]) and the pool queue depth at dispatch into
+//! [`RunCtx::stats`]; the `figures` binary writes them to
+//! `results/grid_stats.json` via [`RunCtx::write_grid_stats`].
 //!
 //! # Fault tolerance
 //!
 //! By default a panicking cell aborts the whole figure (the pre-PR-5
-//! behaviour, which unit tests rely on). The `figures` binary instead
-//! installs a [`FaultPolicy`] with `isolate = true`: each cell then runs
-//! through [`sim_support::fault::isolated`], transient failures are retried
-//! up to `max_retries` times (the cell RNG is re-seeded per attempt, so a
-//! retry reproduces the clean-run result bit-for-bit), poison cells are
-//! recorded in the [quarantine registry](take_quarantined) and dropped from
-//! the gathered output, and fatal errors still abort. The per-cell
-//! [hook](set_cell_hook) fires in canonical order on the gathering thread —
-//! the `figures` binary uses it to append checkpoint-journal lines.
+//! behaviour, which unit tests rely on). The `figures` binary instead sets
+//! a [`FaultPolicy`] with `isolate = true`: each cell then runs through
+//! [`sim_support::fault::isolated`], transient failures are retried up to
+//! `max_retries` times (the cell RNG is re-seeded per attempt, so a retry
+//! reproduces the clean-run result bit-for-bit), poison cells are recorded
+//! in [`RunCtx::quarantined`] and dropped from the gathered output, and
+//! fatal errors still abort. The per-cell hook fires in canonical order on
+//! the gathering thread — the `figures` binary uses it to append
+//! checkpoint-journal lines.
 
 use std::cell::RefCell;
 use std::path::Path;
-use std::sync::Mutex; // simlint: allow(D03) -- guards the telemetry registry, drained in canonical cell order
 use std::time::Instant;
 
-use sim_support::fault::{self, FaultClass, SimError};
-use sim_support::{fsio, pool, SimRng};
+use sim_support::fault::{self, FaultClass, FaultState, IoFaults, SimError};
+use sim_support::{fsio, pool, SimRng, ThreadPool};
 
 /// Seed folded with the figure id to root each figure's cell-RNG tree.
 const GRID_SEED: u64 = 0x6e1d_5eed_b7b2_0221;
 
-/// Per-cell measurement, pushed to the registry in canonical order.
+/// Per-cell measurement, recorded in canonical order.
 #[derive(Clone, Debug)]
 pub struct CellStat {
     /// Figure id (`"fig11"`, `"extra-policies"`, ...).
@@ -105,7 +113,7 @@ pub struct Quarantined {
     pub attempts: u32,
 }
 
-/// Per-cell outcome passed to the [hook](set_cell_hook), in canonical order.
+/// Per-cell outcome passed to the [hook](RunCtx::hook), in canonical order.
 pub enum CellOutcome<'a> {
     /// The cell completed and its value was gathered.
     Completed(&'a CellStat),
@@ -113,8 +121,9 @@ pub enum CellOutcome<'a> {
     Quarantined(&'a Quarantined),
 }
 
-/// Callback invoked once per gathered cell on the submitting thread.
-pub type CellHook = Box<dyn Fn(CellOutcome<'_>) + Send + Sync>;
+/// Callback invoked once per gathered cell on the submitting thread, with
+/// the run's injected-I/O state for any writes it makes.
+pub type CellHook = Box<dyn FnMut(CellOutcome<'_>, &mut IoFaults) + Send>;
 
 struct ActiveCell {
     accesses: u64,
@@ -123,53 +132,266 @@ struct ActiveCell {
 
 thread_local! {
     static ACTIVE: RefCell<Option<ActiveCell>> = const { RefCell::new(None) };
-    /// When set, the serial path executes cells in reverse index order —
-    /// the permuted-schedule regression hook used by `tests/grid_parallel.rs`.
-    static REVERSE_SERIAL: std::cell::Cell<bool> = const { std::cell::Cell::new(false) };
 }
 
-// simlint: allow(D03) -- wall-clock telemetry only; simulated results never read this registry
-static STATS: Mutex<Vec<CellStat>> = Mutex::new(Vec::new());
-// simlint: allow(D03) -- failure telemetry, pushed in canonical gather order
-static QUARANTINE: Mutex<Vec<Quarantined>> = Mutex::new(Vec::new());
-// simlint: allow(D03) -- run configuration, written once by the binary before the grid starts
-static POLICY: Mutex<FaultPolicy> = Mutex::new(FaultPolicy {
-    isolate: false,
-    max_retries: 0,
-});
-// simlint: allow(D03) -- journal hook; invoked serially on the gathering thread only
-static CELL_HOOK: Mutex<Option<CellHook>> = Mutex::new(None);
-
-/// Installs the process-wide [`FaultPolicy`]. Takes effect on the next
-/// `run_cells` call.
-pub fn set_fault_policy(policy: FaultPolicy) {
-    *POLICY.lock().expect("fault policy poisoned") = policy;
+/// One run's configuration and sinks. See the [module docs](self).
+pub struct RunCtx {
+    /// Fault plan, injected-I/O counters, crash countdown, armed proc fault.
+    pub faults: FaultState,
+    /// How failing cells are treated.
+    pub policy: FaultPolicy,
+    /// Called once per settled cell, in canonical order, from the thread
+    /// that called [`run_cells`](Self::run_cells).
+    pub hook: Option<CellHook>,
+    /// Completed cells, in canonical order per figure.
+    pub stats: Vec<CellStat>,
+    /// Cells dropped from their figure (plus any a `--resume` re-surfaces).
+    pub quarantined: Vec<Quarantined>,
+    /// Serial path only: visit cells in reverse index order. Gathered
+    /// output must not change — the permuted-schedule regression hook of
+    /// `tests/grid_parallel.rs`.
+    pub reverse_serial: bool,
+    pool: Option<ThreadPool>,
 }
 
-/// The currently installed [`FaultPolicy`].
-pub fn fault_policy() -> FaultPolicy {
-    *POLICY.lock().expect("fault policy poisoned")
+impl Default for RunCtx {
+    /// A fault-free, propagate-panics run at the width `SIM_THREADS` (or
+    /// the machine) asks for.
+    fn default() -> Self {
+        Self::new(pool::resolve_threads(None))
+    }
 }
 
-/// Installs (or clears) the per-cell outcome hook. The grid calls it once
-/// per cell, in canonical order, from the thread that called `run_cells`.
-pub fn set_cell_hook(hook: Option<CellHook>) {
-    *CELL_HOOK.lock().expect("cell hook poisoned") = hook;
-}
+impl RunCtx {
+    /// A fault-free, propagate-panics run on `threads` workers; 1 (or 0)
+    /// runs every cell serially on the calling thread.
+    pub fn new(threads: usize) -> Self {
+        Self {
+            faults: FaultState::default(),
+            policy: FaultPolicy::default(),
+            hook: None,
+            stats: Vec::new(),
+            quarantined: Vec::new(),
+            reverse_serial: false,
+            pool: (threads > 1).then(|| ThreadPool::new(threads)),
+        }
+    }
 
-/// Drains the quarantine registry (records since the last drain/reset).
-pub fn take_quarantined() -> Vec<Quarantined> {
-    std::mem::take(&mut *QUARANTINE.lock().expect("quarantine registry poisoned"))
-}
+    /// Worker threads cells run on (1 = serial).
+    pub fn threads(&self) -> usize {
+        self.pool.as_ref().map_or(1, ThreadPool::threads)
+    }
 
-/// Pushes an externally sourced quarantine record — used by `--resume` to
-/// re-surface records recovered from the checkpoint journal so the final
-/// `grid_stats.json` still names every dropped cell.
-pub fn record_quarantined(record: Quarantined) {
-    QUARANTINE
-        .lock()
-        .expect("quarantine registry poisoned")
-        .push(record);
+    /// The run's pool, `None` on the serial path.
+    pub fn pool(&self) -> Option<&ThreadPool> {
+        self.pool.as_ref()
+    }
+
+    /// Runs one figure's cells through the run's pool and gathers results
+    /// in canonical order. `label` names each cell for [`RunCtx::stats`];
+    /// `f` is the cell body. Without a pool this is a plain serial loop.
+    pub fn run_cells<I, T, L, F>(&mut self, figure: &str, items: &[I], label: L, f: F) -> Vec<T>
+    where
+        I: Sync,
+        T: Send,
+        L: Fn(&I) -> String + Sync,
+        F: Fn(&I) -> T + Sync,
+    {
+        // Split one private stream per cell up front, serially, so cell i's
+        // stream depends only on (figure, i) — never on execution order.
+        let mut parent = SimRng::seed_from_u64(GRID_SEED ^ fault::fnv1a(figure.as_bytes()));
+        let seeds: Vec<u64> = items.iter().map(|_| parent.next_u64()).collect();
+        let policy = self.policy;
+        let reverse = self.reverse_serial;
+        let faults = &self.faults;
+        let pool = self.pool.as_ref();
+
+        let run_one = |index: usize, item: &I, attempt: u32| -> (T, CellStat) {
+            // Injection checkpoint: panics with a SimError payload when the
+            // run's fault plan targets this cell. No-op without a plan.
+            faults.cell_attempt(figure, index, attempt);
+            let queue_depth = pool.map_or(0, ThreadPool::queued);
+            // Save/restore rather than set/clear: a worker that help-runs other
+            // queued cells while one of its own waits must not lose its context.
+            // Re-seeding from seeds[index] on every attempt keeps a retried
+            // cell's stream identical to a clean first run.
+            let previous = ACTIVE.replace(Some(ActiveCell {
+                accesses: 0,
+                rng: SimRng::seed_from_u64(seeds[index]),
+            }));
+            let start = Instant::now();
+            let value = f(item);
+            let wall = start.elapsed();
+            let cell = ACTIVE.replace(previous).expect("cell context intact");
+            let wall_ms = wall.as_secs_f64() * 1e3;
+            let accesses_per_sec = if wall.as_secs_f64() > 0.0 {
+                cell.accesses as f64 / wall.as_secs_f64()
+            } else {
+                0.0
+            };
+            let stat = CellStat {
+                figure: figure.to_string(),
+                label: label(item),
+                index,
+                wall_ms,
+                accesses: cell.accesses,
+                accesses_per_sec,
+                queue_depth,
+                attempts: attempt + 1,
+            };
+            (value, stat)
+        };
+
+        // A panicking cell leaves the ACTIVE context of the unwound attempt
+        // behind on its worker thread; the save/restore in run_one only runs
+        // to completion on non-panicking attempts. That is safe — the next
+        // attempt (or the next cell on that worker) replaces the slot
+        // wholesale — but it is why run_one must never observe a previous
+        // attempt's context.
+        let gathered: Vec<Result<(T, CellStat), (SimError, u32)>> = if policy.isolate {
+            let isolated = match pool {
+                Some(p) => p.try_par_map(items, policy.max_retries, |i, item, attempt| {
+                    run_one(i, item, attempt)
+                }),
+                None => serial(items.len(), reverse, |index| {
+                    fault::isolated(policy.max_retries, |attempt| {
+                        run_one(index, &items[index], attempt)
+                    })
+                }),
+            };
+            isolated
+                .into_iter()
+                .map(|cell| {
+                    let attempts = cell.attempts;
+                    match cell.result {
+                        Ok((value, mut stat)) => {
+                            stat.attempts = attempts;
+                            Ok((value, stat))
+                        }
+                        Err(err) => Err((err, attempts)),
+                    }
+                })
+                .collect()
+        } else {
+            let plain = match pool {
+                Some(p) => p.par_map(items, |i, item| run_one(i, item, 0)),
+                None => serial(items.len(), reverse, |index| {
+                    run_one(index, &items[index], 0)
+                }),
+            };
+            plain.into_iter().map(Ok).collect()
+        };
+
+        // Gather: canonical (submission) order. The hook and the crash
+        // checkpoint run here, on this thread, so journal lines and simulated
+        // crash points are as deterministic as the results themselves.
+        let mut values = Vec::with_capacity(gathered.len());
+        for (index, outcome) in gathered.into_iter().enumerate() {
+            match outcome {
+                Ok((value, stat)) => {
+                    if let Some(hook) = self.hook.as_mut() {
+                        hook(CellOutcome::Completed(&stat), &mut self.faults.io);
+                    }
+                    self.stats.push(stat);
+                    values.push(value);
+                }
+                Err((err, _)) if err.class == FaultClass::Fatal => {
+                    // Fatal means the run is compromised; re-raise rather than
+                    // pretend a partial grid is a result.
+                    std::panic::panic_any(err);
+                }
+                Err((err, attempts)) => {
+                    let record = Quarantined {
+                        figure: figure.to_string(),
+                        label: label(&items[index]),
+                        index,
+                        class: err.class,
+                        reason: err.message,
+                        attempts,
+                    };
+                    if let Some(hook) = self.hook.as_mut() {
+                        hook(CellOutcome::Quarantined(&record), &mut self.faults.io);
+                    }
+                    self.quarantined.push(record);
+                }
+            }
+            // Crash checkpoint for `exit-after=N` fault plans.
+            self.faults.cell_completed();
+        }
+        values
+    }
+
+    /// Writes [`RunCtx::stats`] and [`RunCtx::quarantined`] plus run-level
+    /// context as JSON — the observability artifact
+    /// `results/grid_stats.json`.
+    pub fn write_grid_stats(
+        &mut self,
+        path: &Path,
+        total_wall_ms: f64,
+        notes: &[String],
+    ) -> std::io::Result<()> {
+        let escape = fsio::json_escape;
+        let (cells, quarantined) = (&self.stats, &self.quarantined);
+        let mut out = String::from("{\n");
+        out.push_str(&format!("  \"threads\": {},\n", self.threads()));
+        out.push_str(&format!("  \"total_wall_ms\": {total_wall_ms:.3},\n"));
+        let cell_wall: f64 = cells.iter().map(|c| c.wall_ms).sum();
+        out.push_str(&format!("  \"cell_wall_ms\": {cell_wall:.3},\n"));
+        out.push_str(&format!("  \"cells_run\": {},\n", cells.len()));
+        out.push_str(&format!(
+            "  \"cells_quarantined\": {},\n",
+            quarantined.len()
+        ));
+        if let Some(pool) = &self.pool {
+            let stats = pool.stats();
+            out.push_str(&format!(
+                "  \"pool\": {{ \"threads\": {}, \"steals\": {}, \"executed\": {}, \
+                 \"queue_depth_hwm\": {} }},\n",
+                stats.threads, stats.steals, stats.executed, stats.depth_hwm
+            ));
+        }
+        out.push_str("  \"notes\": [\n");
+        for (i, note) in notes.iter().enumerate() {
+            let comma = if i + 1 < notes.len() { "," } else { "" };
+            out.push_str(&format!("    \"{}\"{comma}\n", escape(note)));
+        }
+        out.push_str("  ],\n");
+        out.push_str("  \"quarantined\": [\n");
+        for (i, q) in quarantined.iter().enumerate() {
+            let comma = if i + 1 < quarantined.len() { "," } else { "" };
+            out.push_str(&format!(
+                "    {{ \"figure\": \"{}\", \"label\": \"{}\", \"index\": {}, \
+                 \"class\": \"{}\", \"reason\": \"{}\", \"attempts\": {} }}{comma}\n",
+                escape(&q.figure),
+                escape(&q.label),
+                q.index,
+                q.class,
+                escape(&q.reason),
+                q.attempts
+            ));
+        }
+        out.push_str("  ],\n");
+        out.push_str("  \"cells\": [\n");
+        for (i, cell) in cells.iter().enumerate() {
+            let comma = if i + 1 < cells.len() { "," } else { "" };
+            out.push_str(&format!(
+                "    {{ \"figure\": \"{}\", \"label\": \"{}\", \"index\": {}, \
+                 \"wall_ms\": {:.3}, \"accesses\": {}, \"accesses_per_sec\": {:.0}, \
+                 \"queue_depth\": {}, \"attempts\": {} }}{comma}\n",
+                escape(&cell.figure),
+                escape(&cell.label),
+                cell.index,
+                cell.wall_ms,
+                cell.accesses,
+                cell.accesses_per_sec,
+                cell.queue_depth,
+                cell.attempts
+            ));
+        }
+        out.push_str("  ]\n}\n");
+        // Atomic: a run killed mid-write must never leave a truncated stats file.
+        fsio::write_atomic(path, out.as_bytes(), &mut self.faults.io)
+    }
 }
 
 /// Credits `n` simulated accesses to the currently running cell. A no-op
@@ -192,380 +414,91 @@ pub fn with_cell_rng<R>(f: impl FnOnce(&mut SimRng) -> R) -> R {
     })
 }
 
-/// Runs one figure's cells through the pool and gathers results in canonical
-/// order. `label` names each cell for the stats registry; `f` is the cell
-/// body. With a configured thread count of 1 this is a plain serial loop.
-pub fn run_cells<I, T, L, F>(figure: &str, items: &[I], label: L, f: F) -> Vec<T>
-where
-    I: Sync,
-    T: Send,
-    L: Fn(&I) -> String + Sync,
-    F: Fn(&I) -> T + Sync,
-{
-    // Split one private stream per cell up front, serially, so cell i's
-    // stream depends only on (figure, i) — never on execution order.
-    let mut parent = SimRng::seed_from_u64(GRID_SEED ^ fnv1a(figure.as_bytes()));
-    let seeds: Vec<u64> = items.iter().map(|_| parent.next_u64()).collect();
-    let policy = fault_policy();
-
-    let pool_handle = pool::handle();
-    let run_one = |index: usize, item: &I, attempt: u32| -> (T, CellStat) {
-        // Injection checkpoint: panics with a SimError payload when the
-        // installed fault plan targets this cell. No-op without a plan.
-        fault::cell_attempt(figure, index, attempt);
-        let queue_depth = pool_handle.as_ref().map_or(0, |p| p.queued());
-        // Save/restore rather than set/clear: a worker that help-runs other
-        // queued cells while one of its own waits must not lose its context.
-        // Re-seeding from seeds[index] on every attempt keeps a retried
-        // cell's stream identical to a clean first run.
-        let previous = ACTIVE.replace(Some(ActiveCell {
-            accesses: 0,
-            rng: SimRng::seed_from_u64(seeds[index]),
-        }));
-        let start = Instant::now();
-        let value = f(item);
-        let wall = start.elapsed();
-        let cell = ACTIVE.replace(previous).expect("cell context intact");
-        let wall_ms = wall.as_secs_f64() * 1e3;
-        let accesses_per_sec = if wall.as_secs_f64() > 0.0 {
-            cell.accesses as f64 / wall.as_secs_f64()
-        } else {
-            0.0
-        };
-        let stat = CellStat {
-            figure: figure.to_string(),
-            label: label(item),
-            index,
-            wall_ms,
-            accesses: cell.accesses,
-            accesses_per_sec,
-            queue_depth,
-            attempts: attempt + 1,
-        };
-        (value, stat)
-    };
-
-    // A panicking cell leaves the ACTIVE context of the unwound attempt
-    // behind on its worker thread; the save/restore in run_one only runs to
-    // completion on non-panicking attempts. That is safe — the next attempt
-    // (or the next cell on that worker) replaces the slot wholesale — but it
-    // is why run_one must never observe a previous attempt's context.
-    let gathered: Vec<Result<(T, CellStat), (SimError, u32)>> = if policy.isolate {
-        let isolated = match &pool_handle {
-            Some(p) => p.try_par_map(items, policy.max_retries, |i, item, attempt| {
-                run_one(i, item, attempt)
-            }),
-            None => {
-                // Serial path; honor the permuted-order regression hook.
-                let mut slots = Vec::with_capacity(items.len());
-                slots.resize_with(items.len(), || None);
-                let mut order: Vec<usize> = (0..items.len()).collect();
-                if REVERSE_SERIAL.get() {
-                    order.reverse();
-                }
-                for index in order {
-                    slots[index] = Some(fault::isolated(policy.max_retries, |attempt| {
-                        run_one(index, &items[index], attempt)
-                    }));
-                }
-                slots
-                    .into_iter()
-                    .map(|slot| slot.expect("every cell ran"))
-                    .collect()
-            }
-        };
-        isolated
-            .into_iter()
-            .map(|cell| {
-                let attempts = cell.attempts;
-                match cell.result {
-                    Ok((value, mut stat)) => {
-                        stat.attempts = attempts;
-                        Ok((value, stat))
-                    }
-                    Err(err) => Err((err, attempts)),
-                }
-            })
-            .collect()
-    } else {
-        let plain = match &pool_handle {
-            Some(p) => p.par_map(items, |i, item| run_one(i, item, 0)),
-            None => {
-                let mut slots: Vec<Option<(T, CellStat)>> = Vec::with_capacity(items.len());
-                slots.resize_with(items.len(), || None);
-                let mut order: Vec<usize> = (0..items.len()).collect();
-                if REVERSE_SERIAL.get() {
-                    order.reverse();
-                }
-                for index in order {
-                    slots[index] = Some(run_one(index, &items[index], 0));
-                }
-                slots
-                    .into_iter()
-                    .map(|slot| slot.expect("every cell ran"))
-                    .collect()
-            }
-        };
-        plain.into_iter().map(Ok).collect()
-    };
-
-    // Gather: canonical (submission) order. The hook and the crash
-    // checkpoint run here, on this thread, so journal lines and simulated
-    // crash points are as deterministic as the results themselves.
-    let mut values = Vec::with_capacity(gathered.len());
-    for (index, outcome) in gathered.into_iter().enumerate() {
-        match outcome {
-            Ok((value, stat)) => {
-                {
-                    let hook = CELL_HOOK.lock().expect("cell hook poisoned");
-                    if let Some(hook) = hook.as_ref() {
-                        hook(CellOutcome::Completed(&stat));
-                    }
-                }
-                STATS
-                    .lock()
-                    .expect("grid stats registry poisoned")
-                    .push(stat);
-                values.push(value);
-            }
-            Err((err, _)) if err.class == FaultClass::Fatal => {
-                // Fatal means the run is compromised; re-raise rather than
-                // pretend a partial grid is a result.
-                std::panic::panic_any(err);
-            }
-            Err((err, attempts)) => {
-                let record = Quarantined {
-                    figure: figure.to_string(),
-                    label: label(&items[index]),
-                    index,
-                    class: err.class,
-                    reason: err.message,
-                    attempts,
-                };
-                {
-                    let hook = CELL_HOOK.lock().expect("cell hook poisoned");
-                    if let Some(hook) = hook.as_ref() {
-                        hook(CellOutcome::Quarantined(&record));
-                    }
-                }
-                QUARANTINE
-                    .lock()
-                    .expect("quarantine registry poisoned")
-                    .push(record);
-            }
-        }
-        // Crash checkpoint for `exit-after=N` fault plans.
-        fault::cell_completed();
+/// Runs `f` over the cell indices `0..n` on this thread — in reverse order
+/// when `reverse` — and returns the results in index order.
+fn serial<R>(n: usize, reverse: bool, f: impl FnMut(usize) -> R) -> Vec<R> {
+    if !reverse {
+        return (0..n).map(f).collect();
     }
-    values
-}
-
-/// Runs `f` with the serial executor visiting cells in **reverse** index
-/// order on this thread. Gathered output must not change — the regression
-/// test for cell order-independence (and thus for RNG sharing across cells).
-pub fn with_reversed_serial_order<R>(f: impl FnOnce() -> R) -> R {
-    struct Reset;
-    impl Drop for Reset {
-        fn drop(&mut self) {
-            REVERSE_SERIAL.set(false);
-        }
-    }
-    let _reset = Reset;
-    REVERSE_SERIAL.set(true);
-    f()
-}
-
-/// Clears the cell-stat and quarantine registries (start of a measured run).
-pub fn reset_stats() {
-    STATS.lock().expect("grid stats registry poisoned").clear();
-    QUARANTINE
-        .lock()
-        .expect("quarantine registry poisoned")
-        .clear();
-}
-
-/// Drains and returns every cell stat recorded since the last reset.
-pub fn take_stats() -> Vec<CellStat> {
-    std::mem::take(&mut *STATS.lock().expect("grid stats registry poisoned"))
-}
-
-/// Writes the drained cell stats plus run-level context as JSON — the
-/// observability artifact `results/grid_stats.json`.
-pub fn write_grid_stats(
-    path: &Path,
-    threads: usize,
-    total_wall_ms: f64,
-    notes: &[String],
-    cells: &[CellStat],
-    quarantined: &[Quarantined],
-) -> std::io::Result<()> {
-    let escape = fsio::json_escape;
-    let mut out = String::from("{\n");
-    out.push_str(&format!("  \"threads\": {threads},\n"));
-    out.push_str(&format!("  \"total_wall_ms\": {total_wall_ms:.3},\n"));
-    let cell_wall: f64 = cells.iter().map(|c| c.wall_ms).sum();
-    out.push_str(&format!("  \"cell_wall_ms\": {cell_wall:.3},\n"));
-    out.push_str(&format!("  \"cells_run\": {},\n", cells.len()));
-    out.push_str(&format!(
-        "  \"cells_quarantined\": {},\n",
-        quarantined.len()
-    ));
-    if let Some(pool) = pool::handle() {
-        let stats = pool.stats();
-        out.push_str(&format!(
-            "  \"pool\": {{ \"threads\": {}, \"steals\": {}, \"executed\": {}, \
-             \"queue_depth_hwm\": {} }},\n",
-            stats.threads, stats.steals, stats.executed, stats.depth_hwm
-        ));
-    }
-    out.push_str("  \"notes\": [\n");
-    for (i, note) in notes.iter().enumerate() {
-        let comma = if i + 1 < notes.len() { "," } else { "" };
-        out.push_str(&format!("    \"{}\"{comma}\n", escape(note)));
-    }
-    out.push_str("  ],\n");
-    out.push_str("  \"quarantined\": [\n");
-    for (i, q) in quarantined.iter().enumerate() {
-        let comma = if i + 1 < quarantined.len() { "," } else { "" };
-        out.push_str(&format!(
-            "    {{ \"figure\": \"{}\", \"label\": \"{}\", \"index\": {}, \
-             \"class\": \"{}\", \"reason\": \"{}\", \"attempts\": {} }}{comma}\n",
-            escape(&q.figure),
-            escape(&q.label),
-            q.index,
-            q.class,
-            escape(&q.reason),
-            q.attempts
-        ));
-    }
-    out.push_str("  ],\n");
-    out.push_str("  \"cells\": [\n");
-    for (i, cell) in cells.iter().enumerate() {
-        let comma = if i + 1 < cells.len() { "," } else { "" };
-        out.push_str(&format!(
-            "    {{ \"figure\": \"{}\", \"label\": \"{}\", \"index\": {}, \
-             \"wall_ms\": {:.3}, \"accesses\": {}, \"accesses_per_sec\": {:.0}, \
-             \"queue_depth\": {}, \"attempts\": {} }}{comma}\n",
-            escape(&cell.figure),
-            escape(&cell.label),
-            cell.index,
-            cell.wall_ms,
-            cell.accesses,
-            cell.accesses_per_sec,
-            cell.queue_depth,
-            cell.attempts
-        ));
-    }
-    out.push_str("  ]\n}\n");
-    // Atomic: a run killed mid-write must never leave a truncated stats file.
-    fsio::write_atomic(path, out.as_bytes())
-}
-
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        hash ^= u64::from(b);
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    hash
+    let mut out: Vec<R> = (0..n).rev().map(f).collect();
+    out.reverse();
+    out
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use sim_support::FaultPlan;
+
+    fn isolating(max_retries: u32, plan: &str, threads: usize) -> RunCtx {
+        let mut ctx = RunCtx::new(threads);
+        ctx.policy = FaultPolicy {
+            isolate: true,
+            max_retries,
+        };
+        ctx.faults = FaultState::new(FaultPlan::parse(plan).unwrap());
+        ctx
+    }
 
     #[test]
     fn cells_gather_in_canonical_order() {
         let items: Vec<usize> = (0..12).collect();
-        let out = run_cells("unit-grid", &items, |i| format!("cell{i}"), |&i| i * 3);
-        assert_eq!(out, (0..12).map(|i| i * 3).collect::<Vec<_>>());
+        for threads in [1, 3] {
+            let out = RunCtx::new(threads).run_cells(
+                "unit-grid",
+                &items,
+                |i| format!("cell{i}"),
+                |&i| i * 3,
+            );
+            assert_eq!(out, (0..12).map(|i| i * 3).collect::<Vec<_>>());
+        }
     }
 
     #[test]
     fn reversed_serial_order_gathers_identically() {
         let items: Vec<usize> = (0..9).collect();
-        let forward = run_cells(
-            "unit-rev",
-            &items,
-            |i| i.to_string(),
-            |&i| with_cell_rng(|rng| rng.next_u64()).wrapping_add(i as u64),
-        );
-        let reversed = with_reversed_serial_order(|| {
-            run_cells(
+        let run = |reverse_serial| {
+            let mut ctx = RunCtx::new(1);
+            ctx.reverse_serial = reverse_serial;
+            ctx.run_cells(
                 "unit-rev",
                 &items,
                 |i| i.to_string(),
                 |&i| with_cell_rng(|rng| rng.next_u64()).wrapping_add(i as u64),
             )
-        });
-        assert_eq!(forward, reversed);
+        };
+        assert_eq!(run(false), run(true));
     }
 
     #[test]
     fn cell_rng_is_a_function_of_figure_and_index() {
         let items = [0usize, 1, 2];
-        let a = run_cells(
-            "unit-rng",
-            &items,
-            |i| i.to_string(),
-            |_| with_cell_rng(|rng| rng.next_u64()),
-        );
-        let b = run_cells(
-            "unit-rng",
-            &items,
-            |i| i.to_string(),
-            |_| with_cell_rng(|rng| rng.next_u64()),
-        );
-        let other = run_cells(
-            "unit-rng2",
-            &items,
-            |i| i.to_string(),
-            |_| with_cell_rng(|rng| rng.next_u64()),
-        );
+        let mut ctx = RunCtx::new(1);
+        let mut draw = |figure| {
+            ctx.run_cells(
+                figure,
+                &items,
+                |i| i.to_string(),
+                |_| with_cell_rng(|rng| rng.next_u64()),
+            )
+        };
+        let a = draw("unit-rng");
+        let b = draw("unit-rng");
+        let other = draw("unit-rng2");
         assert_eq!(a, b, "same figure + index => same stream");
         assert_ne!(a, other, "different figure => different streams");
         assert_ne!(a[0], a[1], "cells never share a stream");
     }
 
-    /// Serializes tests that touch the process-global fault policy/plan.
-    // simlint: allow(D03) -- test-only serialization of global-policy tests
-    static POLICY_TESTS: Mutex<()> = Mutex::new(());
-
-    fn policy_test_lock() -> std::sync::MutexGuard<'static, ()> {
-        // A previous test may have panicked while holding the lock (that is
-        // the point of the propagate test); the guard state itself is ().
-        POLICY_TESTS.lock().unwrap_or_else(|e| e.into_inner())
-    }
-
-    /// Restores the default propagate-panics policy even on test failure.
-    struct ResetPolicy;
-    impl Drop for ResetPolicy {
-        fn drop(&mut self) {
-            set_fault_policy(FaultPolicy::default());
-            sim_support::fault::clear();
-        }
-    }
-
     #[test]
     fn isolation_quarantines_poison_and_keeps_siblings() {
-        let _lock = policy_test_lock();
-        let _reset = ResetPolicy;
-        set_fault_policy(FaultPolicy {
-            isolate: true,
-            max_retries: 1,
-        });
-        sim_support::fault::install(
-            sim_support::FaultPlan::parse("panic=unit-iso:2:poison").unwrap(),
-        );
+        let mut ctx = isolating(1, "panic=unit-iso:2:poison", 1);
         let items: Vec<usize> = (0..5).collect();
         let clean_minus_cell2: Vec<usize> = vec![0, 10, 30, 40];
-        let out = run_cells("unit-iso", &items, |i| i.to_string(), |&i| i * 10);
+        let out = ctx.run_cells("unit-iso", &items, |i| i.to_string(), |&i| i * 10);
         assert_eq!(out, clean_minus_cell2, "only the poison cell is dropped");
-        let quarantined = take_quarantined();
-        let record = quarantined
-            .iter()
-            .find(|q| q.figure == "unit-iso")
-            .expect("quarantine recorded");
+        assert_eq!(ctx.quarantined.len(), 1, "{:?}", ctx.quarantined);
+        let record = &ctx.quarantined[0];
         assert_eq!(record.index, 2);
         assert_eq!(record.class, FaultClass::Poison);
         assert_eq!(record.attempts, 1, "poison is not retried");
@@ -574,47 +507,21 @@ mod tests {
 
     #[test]
     fn isolation_retries_transient_to_success() {
-        let _lock = policy_test_lock();
-        let _reset = ResetPolicy;
-        set_fault_policy(FaultPolicy {
-            isolate: true,
-            max_retries: 1,
-        });
-        sim_support::fault::install(
-            sim_support::FaultPlan::parse("panic=unit-retry:1:transient").unwrap(),
-        );
-        reset_stats();
         let items: Vec<usize> = (0..3).collect();
-        let out = run_cells(
-            "unit-retry",
-            &items,
-            |i| i.to_string(),
-            |&i| with_cell_rng(|rng| rng.next_u64()).wrapping_add(i as u64),
-        );
-        sim_support::fault::clear();
-        set_fault_policy(FaultPolicy::default());
-        let clean = run_cells(
-            "unit-retry",
-            &items,
-            |i| i.to_string(),
-            |&i| with_cell_rng(|rng| rng.next_u64()).wrapping_add(i as u64),
-        );
+        let body = |&i: &usize| with_cell_rng(|rng| rng.next_u64()).wrapping_add(i as u64);
+        let mut ctx = isolating(1, "panic=unit-retry:1:transient", 1);
+        let out = ctx.run_cells("unit-retry", &items, |i| i.to_string(), body);
+        let clean = RunCtx::new(1).run_cells("unit-retry", &items, |i| i.to_string(), body);
         assert_eq!(out, clean, "a retried cell reproduces its clean value");
-        let stats = take_stats();
-        let retried = stats
-            .iter()
-            .find(|s| s.figure == "unit-retry" && s.index == 1)
-            .expect("retried cell recorded");
-        assert_eq!(retried.attempts, 2, "one transient fault, one retry");
+        let attempts: Vec<u32> = ctx.stats.iter().map(|s| s.attempts).collect();
+        assert_eq!(attempts, [1, 2, 1], "one transient fault, one retry");
     }
 
     #[test]
     fn without_isolation_panics_still_propagate() {
-        let _lock = policy_test_lock();
-        let _reset = ResetPolicy;
         // simlint: allow(S03) -- asserts the default policy lets panics escape
         let result = std::panic::catch_unwind(|| {
-            run_cells(
+            RunCtx::new(1).run_cells(
                 "unit-prop",
                 &[0usize, 1],
                 |i| i.to_string(),
@@ -629,11 +536,9 @@ mod tests {
 
     #[test]
     fn accesses_are_credited_to_the_running_cell() {
-        // Shares the drained stats registry with the retry test.
-        let _lock = policy_test_lock();
-        reset_stats();
+        let mut ctx = RunCtx::new(1);
         let items = [10u64, 20];
-        run_cells(
+        ctx.run_cells(
             "unit-acc",
             &items,
             |i| i.to_string(),
@@ -642,13 +547,58 @@ mod tests {
                 n
             },
         );
-        let stats: Vec<CellStat> = take_stats()
-            .into_iter()
-            .filter(|s| s.figure == "unit-acc")
-            .collect();
-        assert_eq!(stats.len(), 2);
-        assert_eq!(stats[0].accesses, 10);
-        assert_eq!(stats[1].accesses, 20);
-        assert_eq!(stats[0].index, 0);
+        assert_eq!(ctx.stats.len(), 2);
+        assert_eq!(ctx.stats[0].accesses, 10);
+        assert_eq!(ctx.stats[1].accesses, 20);
+        assert_eq!(ctx.stats[0].index, 0);
+    }
+
+    /// Two runs with different fault plans, policies and widths execute
+    /// side by side on two threads, on the same figure id; a barrier starts
+    /// every round of both together. Each must see only its own faults,
+    /// quarantine records, stats and attempts — which process-global run
+    /// state could not guarantee.
+    #[test]
+    fn concurrent_runs_keep_their_state_apart() {
+        const ROUNDS: usize = 20;
+        let items: Vec<usize> = (0..6).collect();
+        let body = |&i: &usize| with_cell_rng(|rng| rng.next_u64()).wrapping_add(i as u64);
+        let clean = RunCtx::new(1).run_cells("race", &items, |i| i.to_string(), body);
+        let start = std::sync::Barrier::new(2);
+        let run = |mut ctx: RunCtx| {
+            let outputs: Vec<Vec<u64>> = (0..ROUNDS)
+                .map(|_| {
+                    start.wait();
+                    ctx.run_cells("race", &items, |i| i.to_string(), body)
+                })
+                .collect();
+            (ctx, outputs)
+        };
+        let (healing, poisoned) = std::thread::scope(|s| {
+            let healing = s.spawn(|| run(isolating(1, "panic=race:1:transient", 1)));
+            let poisoned = s.spawn(|| run(isolating(0, "panic=race:2:poison", 3)));
+            (healing.join().unwrap(), poisoned.join().unwrap())
+        });
+
+        let (ctx, outputs) = healing;
+        assert!(outputs.iter().all(|out| *out == clean), "retries heal");
+        assert!(ctx.quarantined.is_empty(), "{:?}", ctx.quarantined);
+        assert_eq!(ctx.stats.len(), ROUNDS * items.len());
+        for stat in &ctx.stats {
+            let expect = if stat.index == 1 { 2 } else { 1 };
+            assert_eq!(stat.attempts, expect, "{stat:?}");
+        }
+
+        let (ctx, outputs) = poisoned;
+        let mut without_cell2 = clean.clone();
+        without_cell2.remove(2);
+        assert!(outputs.iter().all(|out| *out == without_cell2));
+        assert_eq!(ctx.quarantined.len(), ROUNDS);
+        assert!(ctx
+            .quarantined
+            .iter()
+            .all(|q| q.index == 2 && q.class == FaultClass::Poison && q.attempts == 1));
+        assert_eq!(ctx.stats.len(), ROUNDS * (items.len() - 1));
+        assert!(ctx.stats.iter().all(|s| s.attempts == 1 && s.index != 2));
     }
 }

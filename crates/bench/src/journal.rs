@@ -31,7 +31,7 @@
 use std::io;
 use std::path::{Path, PathBuf};
 
-use sim_support::fault::FaultClass;
+use sim_support::fault::{FaultClass, IoFaults};
 use sim_support::fsio::{self, json_escape};
 
 use crate::grid::{CellOutcome, Quarantined};
@@ -88,14 +88,15 @@ impl Journal {
 
     /// Begins a fresh journal: removes any previous file and writes the
     /// run header. Call on every non-resume run so stale checkpoints can
-    /// never leak into a new experiment.
-    pub fn start(&self, fingerprint: &str) -> io::Result<()> {
+    /// never leak into a new experiment. Like every append, the write goes
+    /// through the run's injected-I/O state `faults`.
+    pub fn start(&self, fingerprint: &str, faults: &mut IoFaults) -> io::Result<()> {
         match std::fs::remove_file(&self.path) {
             Ok(()) => {}
             Err(err) if err.kind() == io::ErrorKind::NotFound => {}
             Err(err) => return Err(err),
         }
-        self.append(&header_line(fingerprint))
+        self.append(&header_line(fingerprint), faults)
     }
 
     /// Loads the journal for a `--resume` run. Returns `Ok(None)` — start
@@ -178,7 +179,7 @@ impl Journal {
 
     /// Appends one cell outcome (called from the grid's cell hook, in
     /// canonical order on the gathering thread).
-    pub fn append_cell(&self, outcome: &CellOutcome<'_>) -> io::Result<()> {
+    pub fn append_cell(&self, outcome: &CellOutcome<'_>, faults: &mut IoFaults) -> io::Result<()> {
         let line = match outcome {
             CellOutcome::Completed(stat) => format!(
                 "{{\"kind\":\"cell\",\"figure\":\"{}\",\"label\":\"{}\",\"index\":{},\
@@ -199,22 +200,28 @@ impl Journal {
                 q.attempts
             ),
         };
-        self.append(&line)
+        self.append(&line, faults)
     }
 
     /// Commits a finished figure: its id plus the exact display/markdown
     /// bytes, making every cell line of that figure authoritative.
-    pub fn append_figure(&self, id: &str, display: &str, markdown: &str) -> io::Result<()> {
-        self.append(&figure_line(id, display, markdown))
+    pub fn append_figure(
+        &self,
+        id: &str,
+        display: &str,
+        markdown: &str,
+        faults: &mut IoFaults,
+    ) -> io::Result<()> {
+        self.append(&figure_line(id, display, markdown), faults)
     }
 
     /// Durable append with a bounded retry for injected/transient
     /// interruptions. The fault hook fires before any bytes are written,
     /// so retrying an interrupted append never duplicates a record.
-    fn append(&self, line: &str) -> io::Result<()> {
+    fn append(&self, line: &str, faults: &mut IoFaults) -> io::Result<()> {
         let mut attempt = 0u32;
         loop {
-            match fsio::append_line_durable(&self.path, line) {
+            match fsio::append_line_durable(&self.path, line, faults) {
                 Ok(()) => return Ok(()),
                 Err(err) if err.kind() == io::ErrorKind::Interrupted && attempt < 3 => {
                     attempt += 1;
@@ -359,27 +366,31 @@ mod tests {
 
     #[test]
     fn round_trips_figures_and_quarantine_records() {
+        let io = &mut IoFaults::default();
         let journal = Journal::new(scratch("roundtrip.jsonl"));
-        journal.start("fp-1").unwrap();
+        journal.start("fp-1", io).unwrap();
         journal
-            .append_cell(&CellOutcome::Completed(&stat("fig01", 0)))
+            .append_cell(&CellOutcome::Completed(&stat("fig01", 0)), io)
             .unwrap();
         journal
-            .append_cell(&CellOutcome::Quarantined(&Quarantined {
-                figure: "fig01".to_owned(),
-                label: "py\"thon".to_owned(),
-                index: 1,
-                class: FaultClass::Poison,
-                reason: "corrupt \"trace\"\nline two".to_owned(),
-                attempts: 1,
-            }))
+            .append_cell(
+                &CellOutcome::Quarantined(&Quarantined {
+                    figure: "fig01".to_owned(),
+                    label: "py\"thon".to_owned(),
+                    index: 1,
+                    class: FaultClass::Poison,
+                    reason: "corrupt \"trace\"\nline two".to_owned(),
+                    attempts: 1,
+                }),
+                io,
+            )
             .unwrap();
         journal
-            .append_figure("fig01", "## fig01\nrow\n", "| a | b |\n")
+            .append_figure("fig01", "## fig01\nrow\n", "| a | b |\n", io)
             .unwrap();
         // A figure whose cells ran but which never committed.
         journal
-            .append_cell(&CellOutcome::Completed(&stat("fig02", 0)))
+            .append_cell(&CellOutcome::Completed(&stat("fig02", 0)), io)
             .unwrap();
 
         let loaded = journal.load("fp-1").unwrap().expect("fingerprint matches");
@@ -397,12 +408,13 @@ mod tests {
 
     #[test]
     fn fingerprint_mismatch_and_fresh_start_discard_history() {
+        let io = &mut IoFaults::default();
         let journal = Journal::new(scratch("mismatch.jsonl"));
-        journal.start("fp-a").unwrap();
-        journal.append_figure("fig01", "d", "m").unwrap();
+        journal.start("fp-a", io).unwrap();
+        journal.append_figure("fig01", "d", "m", io).unwrap();
         assert!(journal.load("fp-b").unwrap().is_none(), "wrong fingerprint");
         assert!(journal.load("fp-a").unwrap().is_some());
-        journal.start("fp-a").unwrap();
+        journal.start("fp-a", io).unwrap();
         let reloaded = journal.load("fp-a").unwrap().unwrap();
         assert!(reloaded.figures.is_empty(), "start() truncates");
         let missing = Journal::new(scratch("never-written.jsonl"));
@@ -411,11 +423,12 @@ mod tests {
 
     #[test]
     fn torn_tail_line_is_ignored() {
+        let io = &mut IoFaults::default();
         use std::io::Write as _;
         let path = scratch("torn.jsonl");
         let journal = Journal::new(&path);
-        journal.start("fp").unwrap();
-        journal.append_figure("fig01", "d1", "m1").unwrap();
+        journal.start("fp", io).unwrap();
+        journal.append_figure("fig01", "d1", "m1", io).unwrap();
         let mut f = std::fs::OpenOptions::new()
             .append(true)
             .open(&path)
@@ -430,10 +443,11 @@ mod tests {
 
     #[test]
     fn load_repairs_torn_tail_so_next_append_lands_on_fresh_line() {
+        let io = &mut IoFaults::default();
         use std::io::Write as _;
         let path = scratch("torn-repair.jsonl");
         let journal = Journal::new(&path);
-        journal.start("fp").unwrap();
+        journal.start("fp", io).unwrap();
         let mut f = std::fs::OpenOptions::new()
             .append(true)
             .open(&path)
@@ -442,7 +456,7 @@ mod tests {
             .unwrap();
         drop(f);
         journal.load("fp").unwrap().unwrap();
-        journal.append_figure("fig02", "d2", "m2").unwrap();
+        journal.append_figure("fig02", "d2", "m2", io).unwrap();
         let loaded = journal.load("fp").unwrap().unwrap();
         assert_eq!(loaded.figures.len(), 1, "torn bytes truncated, not fused");
         assert_eq!(loaded.figures[0].id, "fig02");
@@ -450,10 +464,11 @@ mod tests {
 
     #[test]
     fn corrupt_figure_hash_forces_recompute() {
+        let io = &mut IoFaults::default();
         let path = scratch("badhash.jsonl");
         let journal = Journal::new(&path);
-        journal.start("fp").unwrap();
-        journal.append_figure("fig01", "good", "bytes").unwrap();
+        journal.start("fp", io).unwrap();
+        journal.append_figure("fig01", "good", "bytes", io).unwrap();
         // Flip the committed display bytes without updating the hash, as a
         // disk corruption would.
         let text = std::fs::read_to_string(&path).unwrap();

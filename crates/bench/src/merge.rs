@@ -300,6 +300,7 @@ pub fn merge_shards(scale: &Scale, ids: &[String], shards: usize, dir: &Path) ->
 mod tests {
     use super::*;
     use crate::Journal;
+    use sim_support::IoFaults;
 
     fn scratch(name: &str) -> PathBuf {
         let dir = std::env::temp_dir().join("bench-merge-tests");
@@ -316,9 +317,10 @@ mod tests {
 
     #[test]
     fn positional_attribution_spans_multiple_grid_figures_per_commit() {
+        let io = &mut IoFaults::default();
         let path = scratch("positional.jsonl");
         let journal = Journal::new(&path);
-        journal.start("fp").unwrap();
+        journal.start("fp", io).unwrap();
         for line in [cell_line("fig19-entries", 0), cell_line("fig19-ways", 0)] {
             std::fs::write(
                 &path,
@@ -326,7 +328,7 @@ mod tests {
             )
             .unwrap();
         }
-        journal.append_figure("fig19", "d", "m").unwrap();
+        journal.append_figure("fig19", "d", "m", io).unwrap();
         let scan = scan_shard_journal(&path, "fp").unwrap();
         assert_eq!(scan.figures.len(), 1);
         assert_eq!(scan.figures[0].cell_lines.len(), 2);
@@ -346,10 +348,11 @@ mod tests {
 
     #[test]
     fn corrupt_commit_hash_counts_as_missing() {
+        let io = &mut IoFaults::default();
         let path = scratch("badhash.jsonl");
         let journal = Journal::new(&path);
-        journal.start("fp").unwrap();
-        journal.append_figure("fig01", "good", "m").unwrap();
+        journal.start("fp", io).unwrap();
+        journal.append_figure("fig01", "good", "m", io).unwrap();
         let text = std::fs::read_to_string(&path).unwrap();
         std::fs::write(&path, text.replace("good", "evil")).unwrap();
         let scan = scan_shard_journal(&path, "fp").unwrap();
@@ -358,9 +361,10 @@ mod tests {
 
     #[test]
     fn fingerprint_mismatch_is_a_scan_error() {
+        let io = &mut IoFaults::default();
         let path = scratch("fpmismatch.jsonl");
         let journal = Journal::new(&path);
-        journal.start("fp-a").unwrap();
+        journal.start("fp-a", io).unwrap();
         assert!(scan_shard_journal(&path, "fp-b").is_err());
         assert!(scan_shard_journal(&path, "fp-a").is_ok());
     }

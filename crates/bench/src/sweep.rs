@@ -542,5 +542,6 @@ pub fn write_sweep_stats(cfg: &SweepConfig, report: &SweepReport) -> io::Result<
         ));
     }
     out.push_str("  ]\n}\n");
-    fsio::write_atomic(&cfg.dir.join("sweep_stats.json"), out.as_bytes())
+    let faults = &mut sim_support::IoFaults::default();
+    fsio::write_atomic(&cfg.dir.join("sweep_stats.json"), out.as_bytes(), faults)
 }

@@ -10,10 +10,11 @@
 //! Binds (port 0 = ephemeral), prints `hintd listening on ADDR`, writes
 //! the address to `--addr-file` (atomically, so a watcher never reads a
 //! half-written address), then serves until killed. `--fault-plan`
-//! installs a [`sim_support::FaultPlan`]; `exit-after=N` makes the
-//! process exit with code 86 after the N-th journaled batch — the crash
-//! harness's scalpel. Restarting with the same `--data-dir` replays the
-//! journals before accepting traffic.
+//! hands a [`sim_support::FaultPlan`] to the store's config; `exit-after=N`
+//! makes the process exit with code 86 after the N-th journaled batch —
+//! the crash harness's scalpel — and `io=PATTERN:K` fails journal appends.
+//! Restarting with the same `--data-dir` replays the journals before
+//! accepting traffic.
 
 use std::io::Write;
 use std::path::PathBuf;
@@ -21,8 +22,7 @@ use std::process::ExitCode;
 
 use btb_model::BtbConfig;
 use hintd::{HintServer, ServerConfig, StoreConfig};
-use sim_support::fsio;
-use sim_support::FaultPlan;
+use sim_support::{fsio, FaultPlan, IoFaults};
 
 fn usage(msg: &str) -> ! {
     eprintln!("hintd: {msg}");
@@ -70,8 +70,7 @@ fn main() -> ExitCode {
             "--btb-ways" => btb_ways = parse(&value("--btb-ways"), "--btb-ways"),
             "--fault-plan" => {
                 let spec = value("--fault-plan");
-                let plan = FaultPlan::parse(&spec).unwrap_or_else(|err| usage(&err));
-                sim_support::fault::install(plan);
+                store.fault_plan = FaultPlan::parse(&spec).unwrap_or_else(|err| usage(&err));
             }
             other => usage(&format!("unknown flag {other:?}")),
         }
@@ -96,7 +95,8 @@ fn main() -> ExitCode {
     println!("hintd listening on {addr}");
     let _ = std::io::stdout().flush();
     if let Some(path) = addr_file {
-        if let Err(err) = fsio::write_atomic(&path, addr.to_string().as_bytes()) {
+        let faults = &mut IoFaults::default();
+        if let Err(err) = fsio::write_atomic(&path, addr.to_string().as_bytes(), faults) {
             eprintln!("hintd: cannot write addr file: {err}");
             return ExitCode::FAILURE;
         }

@@ -286,7 +286,8 @@ fn main() -> ExitCode {
             lines.push_str(&hintd::hex_encode(&reply.table.encode_bytes()));
             lines.push('\n');
         }
-        if let Err(err) = sim_support::fsio::write_atomic(path, lines.as_bytes()) {
+        let faults = &mut sim_support::IoFaults::default();
+        if let Err(err) = sim_support::fsio::write_atomic(path, lines.as_bytes(), faults) {
             eprintln!("hintload: cannot write {}: {err}", path.display());
             return ExitCode::FAILURE;
         }

@@ -35,13 +35,14 @@
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::io;
 use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
 use btb_model::BtbConfig;
 use btb_trace::{codec, Trace};
-use sim_support::fault::{self, fnv1a};
+use sim_support::fault::{fnv1a, IoFaults};
 use sim_support::fsio;
-use sim_support::FaultClass;
+use sim_support::{FaultClass, FaultPlan};
 use thermometer::{IncrementalProfiler, TemperatureConfig};
 
 use crate::proto::{self, HealthReply, IngestAck, QueryReply, Response, WireTable};
@@ -67,6 +68,9 @@ pub struct StoreConfig {
     pub temperature: TemperatureConfig,
     /// Journal directory; `None` disables durability (in-memory store).
     pub journal_dir: Option<PathBuf>,
+    /// Injected faults (`hintd --fault-plan`): `exit-after=N` exits after
+    /// the N-th journaled batch, `io=PATTERN:K` fails journal appends.
+    pub fault_plan: FaultPlan,
 }
 
 impl Default for StoreConfig {
@@ -78,6 +82,7 @@ impl Default for StoreConfig {
             btb: BtbConfig::table1(),
             temperature: TemperatureConfig::paper_default(),
             journal_dir: None,
+            fault_plan: FaultPlan::default(),
         }
     }
 }
@@ -117,6 +122,8 @@ impl AppState {
 struct Shard {
     apps: BTreeMap<String, AppState>,
     journal: Option<PathBuf>,
+    /// The fault plan's `io=` entry, counted against this shard's journal.
+    io_faults: IoFaults,
     accepted: u64,
     deduped: u64,
 }
@@ -136,6 +143,9 @@ pub struct HintStore {
     temperature: TemperatureConfig,
     watermark: usize,
     drain_per_health: usize,
+    fault_plan: FaultPlan,
+    /// Batches journaled since open: the `exit-after` crash countdown.
+    journaled: AtomicU64,
 }
 
 impl HintStore {
@@ -154,6 +164,7 @@ impl HintStore {
             shards.push(Mutex::new(Shard {
                 apps: BTreeMap::new(),
                 journal,
+                io_faults: config.fault_plan.io_faults(),
                 accepted: 0,
                 deduped: 0,
             }));
@@ -164,6 +175,8 @@ impl HintStore {
             temperature: config.temperature,
             watermark: config.watermark,
             drain_per_health: config.drain_per_health,
+            fault_plan: config.fault_plan,
+            journaled: AtomicU64::new(0),
         };
         store.replay()?;
         Ok(store)
@@ -209,9 +222,9 @@ impl HintStore {
 
     /// Accepts (or deduplicates) one batch. Journal-then-ack: the
     /// acknowledgement this returns is durable. The journal append is also
-    /// the crash checkpoint — [`fault::cell_completed`] fires after it, so
-    /// a `--fault-plan exit-after=N` kills the process at a chosen journal
-    /// offset for the recovery tests.
+    /// the crash checkpoint — [`FaultPlan::crash_checkpoint`] fires after
+    /// it, so a `--fault-plan exit-after=N` kills the process at a chosen
+    /// journal offset for the recovery tests.
     pub fn ingest_response(&self, app: &str, batch_id: u64, trace: Trace) -> Response {
         if let Err(why) = validate_app(app) {
             return Response::Error {
@@ -236,7 +249,7 @@ impl HintStore {
         }
         if let Some(path) = shard.journal.clone() {
             let line = journal_line(batch_id, app, &trace);
-            if let Err(err) = fsio::append_line_durable(&path, &line) {
+            if let Err(err) = fsio::append_line_durable(&path, &line, &mut shard.io_faults) {
                 // Not accepted: nothing journaled, nothing queued. The
                 // client's bounded retry handles the transient case.
                 return Response::Error {
@@ -247,7 +260,8 @@ impl HintStore {
         }
         // Durable — this batch now counts as accepted even if we die on
         // the very next instruction (the crash tests do exactly that).
-        fault::cell_completed();
+        let journaled = self.journaled.fetch_add(1, Ordering::SeqCst) + 1;
+        self.fault_plan.crash_checkpoint(journaled);
         let state = self.app_entry(&mut shard, app);
         state.seen.insert(batch_id);
         state.pending.push_back(trace);
@@ -554,7 +568,8 @@ mod tests {
     fn corrupt_journal_lines_fail_loudly() {
         let dir = scratch("corrupt");
         std::fs::create_dir_all(&dir).unwrap();
-        fsio::append_line_durable(&journal_path(&dir, 0), "1 notanumber app 00").unwrap();
+        let path = journal_path(&dir, 0);
+        fsio::append_line_durable(&path, "1 notanumber app 00", &mut IoFaults::default()).unwrap();
         let config = StoreConfig {
             journal_dir: Some(dir.clone()),
             shards: 1,

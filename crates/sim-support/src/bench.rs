@@ -165,8 +165,13 @@ impl BenchHarness {
     pub fn finish(self, out_dir: &str) {
         std::fs::create_dir_all(out_dir).unwrap_or_else(|e| panic!("cannot create {out_dir}: {e}"));
         let path = format!("{out_dir}/bench_{}.json", self.suite);
-        crate::fsio::write_atomic(std::path::Path::new(&path), self.to_json().as_bytes())
-            .unwrap_or_else(|e| panic!("cannot write {path}: {e}"));
+        let faults = &mut crate::fault::IoFaults::default();
+        crate::fsio::write_atomic(
+            std::path::Path::new(&path),
+            self.to_json().as_bytes(),
+            faults,
+        )
+        .unwrap_or_else(|e| panic!("cannot write {path}: {e}"));
         eprintln!("wrote {path}");
     }
 }

@@ -15,7 +15,10 @@
 //!   cells panic, which `results/` writes fail, and when the process dies
 //!   mid-run. Every choice is a pure function of the plan seed and the
 //!   fault site, so a faulty run is exactly reproducible — the property the
-//!   crash-resume CI stage relies on.
+//!   crash-resume CI stage relies on. The binary that parsed the plan owns
+//!   it as a [`FaultState`] inside its run context and passes it down
+//!   explicitly; nothing here is process-global, so runs with different
+//!   plans can execute side by side.
 //!
 //! [`isolated`] is the only sanctioned `catch_unwind` wrapper outside the
 //! pool (enforced by simlint rule S03): it converts panics into [`SimError`]
@@ -31,21 +34,17 @@
 //! | `panic=FIG:IDX:CLASS` | cell `(FIG, IDX)` panics with `CLASS` (repeatable) |
 //! | `panic-rate=P:CLASS`  | every cell panics with probability `P` |
 //! | `io=PATTERN:K`        | first `K` writes to paths containing `PATTERN` fail transiently |
-//! | `exit-after=N`        | `process::exit(86)` once `N` cells have been journaled |
+//! | `exit-after=N`        | `process::exit(86)` once `N` cells (or `hintd` batches) have been journaled |
 //!
 //! `CLASS` is `transient` (fires on attempt 0 only — a retry succeeds),
 //! `poison` (fires on every attempt), or `fatal`.
 
 use std::io;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-// simlint: allow(D03) -- fault-plane bookkeeping only; decisions are pure in (seed, site)
-use std::sync::atomic::{AtomicU64, Ordering};
-// simlint: allow(D03) -- guards the installed plan, swapped only at run setup/teardown
-use std::sync::Mutex;
 
 use crate::rng::{SimRng, SplitMix64};
 
-/// Exit code used by [`cell_completed`] when an `exit-after` fault fires —
+/// Exit code used by [`FaultPlan::crash_checkpoint`] when an `exit-after` fault fires —
 /// distinguishable from ordinary failures in `scripts/ci.sh`.
 pub const CRASH_EXIT_CODE: i32 = 86;
 
@@ -310,112 +309,127 @@ impl FaultPlan {
         }
         None
     }
-}
 
-/// Process-wide installed plan plus its runtime counters.
-struct ActivePlan {
-    plan: FaultPlan,
-    /// Per-path injected-I/O-failure attempt counters.
-    io_attempts: Vec<(String, u32)>,
-}
-
-// simlint: allow(D03) -- plan registry; swapped at run setup, read-only during execution
-static PLAN: Mutex<Option<ActivePlan>> = Mutex::new(None);
-// simlint: allow(D03) -- crash-countdown telemetry, never read by simulated code
-static CELLS_COMPLETED: AtomicU64 = AtomicU64::new(0);
-
-/// Installs `plan` process-wide (replacing any previous plan) and resets
-/// the runtime fault counters.
-pub fn install(plan: FaultPlan) {
-    let mut slot = PLAN.lock().expect("fault plan registry poisoned");
-    *slot = Some(ActivePlan {
-        plan,
-        io_attempts: Vec::new(),
-    });
-    CELLS_COMPLETED.store(0, Ordering::SeqCst);
-}
-
-/// Removes the installed plan; subsequent checks are no-ops.
-pub fn clear() {
-    *PLAN.lock().expect("fault plan registry poisoned") = None;
-    *PROC_FAULT.lock().expect("proc fault slot poisoned") = None;
-    CELLS_COMPLETED.store(0, Ordering::SeqCst);
-}
-
-/// Whether a fault plan is currently installed.
-pub fn is_active() -> bool {
-    PLAN.lock().expect("fault plan registry poisoned").is_some()
-}
-
-/// Injection checkpoint at the start of a cell attempt. Panics with a
-/// [`SimError`] payload when the installed plan targets this cell:
-/// transient faults fire on attempt 0 only (so one retry heals them);
-/// poison and fatal faults fire on every attempt.
-pub fn cell_attempt(figure: &str, index: usize, attempt: u32) {
-    let class = {
-        let guard = PLAN.lock().expect("fault plan registry poisoned");
-        match guard.as_ref() {
-            Some(active) => active.plan.cell_fault(figure, index),
-            None => None,
-        }
-    };
-    if let Some(class) = class {
-        if class != FaultClass::Transient || attempt == 0 {
-            std::panic::panic_any(SimError {
-                class,
-                message: format!(
-                    "injected {class} fault at cell {figure}[{index}] (attempt {attempt})"
-                ),
-            });
-        }
-    }
-}
-
-/// Crash checkpoint: counts journaled cells and, when the plan's
-/// `exit-after` threshold (or an armed [`ProcFault`]) is reached, performs
-/// the planned process-level failure — simulating a mid-run crash for the
-/// resume tests and the shard-supervisor battery.
-pub fn cell_completed() {
-    let exit_after = {
-        let guard = PLAN.lock().expect("fault plan registry poisoned");
-        guard.as_ref().and_then(|active| active.plan.exit_after)
-    };
-    let done = CELLS_COMPLETED.fetch_add(1, Ordering::SeqCst) + 1;
-    if let Some(limit) = exit_after {
-        if done >= limit {
+    /// Crash checkpoint: once `done` journaled units (grid cells, `hintd`
+    /// batches) reach the plan's `exit-after` threshold, exits the process
+    /// with [`CRASH_EXIT_CODE`] — a mid-run crash for the resume tests.
+    pub fn crash_checkpoint(&self, done: u64) {
+        if self.exit_after.is_some_and(|limit| done >= limit) {
             eprintln!("fault plan: simulated crash after {done} journaled cells");
             std::process::exit(CRASH_EXIT_CODE);
         }
     }
-    maybe_fire_proc_fault(done);
+
+    /// The plan's `io=PATTERN:K` entry, with fresh attempt counters.
+    pub fn io_faults(&self) -> IoFaults {
+        IoFaults {
+            pattern: self.io_pattern.clone(),
+            attempts: Vec::new(),
+        }
+    }
 }
 
-/// Injection checkpoint for `results/` writes: returns an injected
-/// transient error ([`io::ErrorKind::Interrupted`], so callers' bounded
-/// retry loops recognise it as retryable) for the first `K` attempts on any
-/// path matching the plan's `io=PATTERN:K` entry.
-pub fn io_fault(path: &str) -> Option<io::Error> {
-    let mut guard = PLAN.lock().expect("fault plan registry poisoned");
-    let active = guard.as_mut()?;
-    let (pattern, k) = active.plan.io_pattern.clone()?;
-    if !path.contains(&pattern) {
-        return None;
-    }
-    let attempts = match active.io_attempts.iter_mut().find(|(p, _)| p == path) {
-        Some((_, n)) => n,
-        None => {
-            active.io_attempts.push((path.to_owned(), 0));
-            &mut active.io_attempts.last_mut().expect("just pushed").1
+/// The `io=PATTERN:K` entry of a [`FaultPlan`] plus its per-path attempt
+/// counters. Whoever performs the writes owns it (a run's [`FaultState`], a
+/// `hintd` shard) and hands it to the [`crate::fsio`] write helpers; the
+/// default value injects nothing.
+#[derive(Debug, Default)]
+pub struct IoFaults {
+    pattern: Option<(String, u32)>,
+    attempts: Vec<(String, u32)>,
+}
+
+impl IoFaults {
+    /// Injection checkpoint for `results/` writes: returns an injected
+    /// transient error ([`io::ErrorKind::Interrupted`], so callers' bounded
+    /// retry loops recognise it as retryable) for the first `K` attempts on
+    /// any path containing `PATTERN`.
+    pub fn inject(&mut self, path: &str) -> Option<io::Error> {
+        let (pattern, k) = self.pattern.as_ref()?;
+        if !path.contains(pattern.as_str()) {
+            return None;
         }
-    };
-    *attempts += 1;
-    if *attempts <= k {
-        Some(io::Error::new(
-            io::ErrorKind::Interrupted,
-            format!("injected transient i/o fault on {path} (attempt {attempts})"),
-        ))
-    } else {
-        None
+        let k = *k;
+        let attempts = match self.attempts.iter_mut().position(|(p, _)| p == path) {
+            Some(i) => &mut self.attempts[i].1,
+            None => {
+                self.attempts.push((path.to_owned(), 0));
+                &mut self.attempts.last_mut().expect("just pushed").1
+            }
+        };
+        *attempts += 1;
+        (*attempts <= k).then(|| {
+            io::Error::new(
+                io::ErrorKind::Interrupted,
+                format!("injected transient i/o fault on {path} (attempt {attempts})"),
+            )
+        })
+    }
+}
+
+/// One run's fault-injection state: the plan, its injected-I/O counters,
+/// the journaled-cell crash countdown and the armed process fault. The
+/// binary that parsed `--fault-plan` / `--proc-fault` builds it; the
+/// default state injects nothing.
+#[derive(Debug, Default)]
+pub struct FaultState {
+    plan: FaultPlan,
+    /// The plan's `io=` entry, handed to the [`crate::fsio`] write helpers.
+    pub io: IoFaults,
+    cells_completed: u64,
+    proc_fault: Option<ArmedProcFault>,
+}
+
+impl FaultState {
+    /// Fresh state for `plan`: no cells completed, no process fault armed.
+    pub fn new(plan: FaultPlan) -> Self {
+        Self {
+            io: plan.io_faults(),
+            plan,
+            ..Self::default()
+        }
+    }
+
+    /// Arms `fault`; it fires inside [`cell_completed`](Self::cell_completed)
+    /// once the journaled-cell count reaches `fault.after_cells`.
+    /// `journal_path` is required by the torn-journal kind (it must tear the
+    /// real journal).
+    pub fn arm_proc_fault(&mut self, fault: ProcFault, journal_path: Option<std::path::PathBuf>) {
+        self.proc_fault = Some(ArmedProcFault {
+            fault,
+            journal_path,
+        });
+    }
+
+    /// Injection checkpoint at the start of a cell attempt. Panics with a
+    /// [`SimError`] payload when the plan targets this cell: transient
+    /// faults fire on attempt 0 only (so one retry heals them); poison and
+    /// fatal faults fire on every attempt.
+    pub fn cell_attempt(&self, figure: &str, index: usize, attempt: u32) {
+        if let Some(class) = self.plan.cell_fault(figure, index) {
+            if class != FaultClass::Transient || attempt == 0 {
+                std::panic::panic_any(SimError {
+                    class,
+                    message: format!(
+                        "injected {class} fault at cell {figure}[{index}] (attempt {attempt})"
+                    ),
+                });
+            }
+        }
+    }
+
+    /// Crash checkpoint: counts journaled cells and, when the plan's
+    /// `exit-after` threshold (or the armed [`ProcFault`]) is reached,
+    /// performs the planned process-level failure — a mid-run crash for the
+    /// resume tests and the shard-supervisor battery.
+    pub fn cell_completed(&mut self) {
+        self.cells_completed += 1;
+        let done = self.cells_completed;
+        self.plan.crash_checkpoint(done);
+        let due = |armed: &mut ArmedProcFault| done >= armed.fault.after_cells;
+        if let Some(armed) = self.proc_fault.take_if(due) {
+            armed.fire(done);
+        }
     }
 }
 
@@ -831,80 +845,56 @@ impl ProcFaultPlan {
 }
 
 /// An armed process fault plus the journal path [`ProcFaultKind::TornJournal`]
-/// tears. At most one fault is armed per process (one worker = one shard
+/// tears. At most one fault is armed per run (one worker = one shard
 /// attempt = one plan entry).
+#[derive(Debug)]
 struct ArmedProcFault {
     fault: ProcFault,
     journal_path: Option<std::path::PathBuf>,
 }
 
-// simlint: allow(D03) -- armed-fault slot; written once at worker startup, read at the cell checkpoint
-static PROC_FAULT: Mutex<Option<ArmedProcFault>> = Mutex::new(None);
-
-/// Arms `fault` in this process; it fires inside [`cell_completed`] once
-/// the journaled-cell count reaches `fault.after_cells`. `journal_path`
-/// is required by the torn-journal kind (it must tear the real journal).
-pub fn arm_proc_fault(fault: ProcFault, journal_path: Option<std::path::PathBuf>) {
-    *PROC_FAULT.lock().expect("proc fault slot poisoned") = Some(ArmedProcFault {
-        fault,
-        journal_path,
-    });
-}
-
-/// Disarms any armed process fault (also done by [`clear`]).
-pub fn disarm_proc_fault() {
-    *PROC_FAULT.lock().expect("proc fault slot poisoned") = None;
-}
-
-/// Fires the armed process fault, if its cell threshold is met. Never
-/// returns when a fault actually fires (exit or hang).
-fn maybe_fire_proc_fault(cells_done: u64) {
-    let armed = {
-        let mut guard = PROC_FAULT.lock().expect("proc fault slot poisoned");
-        match guard.as_ref() {
-            Some(armed) if cells_done >= armed.fault.after_cells => guard.take(),
-            _ => None,
-        }
-    };
-    let Some(armed) = armed else { return };
-    match armed.fault.kind {
-        ProcFaultKind::Die => {
-            eprintln!("proc fault: dying after {cells_done} journaled cells");
-            std::process::exit(CRASH_EXIT_CODE);
-        }
-        ProcFaultKind::Hang => {
-            eprintln!("proc fault: hanging after {cells_done} journaled cells");
-            // Wedge without burning a core; only the supervisor's
-            // heartbeat timeout (or kill -9) clears this state.
-            loop {
-                std::thread::sleep(std::time::Duration::from_millis(50));
+impl ArmedProcFault {
+    /// Performs the fault. Never returns (exit or hang).
+    fn fire(self, cells_done: u64) -> ! {
+        match self.fault.kind {
+            ProcFaultKind::Die => {
+                eprintln!("proc fault: dying after {cells_done} journaled cells");
+                std::process::exit(CRASH_EXIT_CODE);
             }
-        }
-        ProcFaultKind::TornJournal => {
-            eprintln!("proc fault: tearing journal after {cells_done} journaled cells");
-            if let Some(path) = &armed.journal_path {
-                use std::io::Write as _;
-                // Raw append, no newline, invalid UTF-8 mid-record: the
-                // exact bytes a power loss mid-write leaves behind. The
-                // fsync matters — the *torn* state must itself be durable
-                // for the resume path to prove it tolerates it.
-                if let Ok(mut f) = std::fs::OpenOptions::new().append(true).open(path) {
-                    let _ = f.write_all(b"{\"kind\":\"cell\",\"figure\":\"t\xFForn");
-                    let _ = f.sync_all();
+            ProcFaultKind::Hang => {
+                eprintln!("proc fault: hanging after {cells_done} journaled cells");
+                // Wedge without burning a core; only the supervisor's
+                // heartbeat timeout (or kill -9) clears this state.
+                loop {
+                    std::thread::sleep(std::time::Duration::from_millis(50));
                 }
             }
-            std::process::exit(CRASH_EXIT_CODE);
-        }
-        ProcFaultKind::GarbageStdout => {
-            use std::io::Write as _;
-            eprintln!("proc fault: garbage stdout + false success after {cells_done} cells");
-            let mut out = std::io::stdout();
-            let _ = out.write_all(&[0xA5u8; 64]);
-            let _ = out.write_all(b"\x00GARBAGE NOT A FIGURE\x00");
-            let _ = out.flush();
-            // Exit 0: the lie. Supervisors must verify journal coverage,
-            // not trust exit status.
-            std::process::exit(0);
+            ProcFaultKind::TornJournal => {
+                eprintln!("proc fault: tearing journal after {cells_done} journaled cells");
+                if let Some(path) = &self.journal_path {
+                    use std::io::Write as _;
+                    // Raw append, no newline, invalid UTF-8 mid-record: the
+                    // exact bytes a power loss mid-write leaves behind. The
+                    // fsync matters — the *torn* state must itself be durable
+                    // for the resume path to prove it tolerates it.
+                    if let Ok(mut f) = std::fs::OpenOptions::new().append(true).open(path) {
+                        let _ = f.write_all(b"{\"kind\":\"cell\",\"figure\":\"t\xFForn");
+                        let _ = f.sync_all();
+                    }
+                }
+                std::process::exit(CRASH_EXIT_CODE);
+            }
+            ProcFaultKind::GarbageStdout => {
+                use std::io::Write as _;
+                eprintln!("proc fault: garbage stdout + false success after {cells_done} cells");
+                let mut out = std::io::stdout();
+                let _ = out.write_all(&[0xA5u8; 64]);
+                let _ = out.write_all(b"\x00GARBAGE NOT A FIGURE\x00");
+                let _ = out.flush();
+                // Exit 0: the lie. Supervisors must verify journal coverage,
+                // not trust exit status.
+                std::process::exit(0);
+            }
         }
     }
 }
@@ -923,14 +913,6 @@ pub fn fnv1a(bytes: &[u8]) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    /// Restores a clean global plan state even when an assertion fails.
-    struct ClearPlan;
-    impl Drop for ClearPlan {
-        fn drop(&mut self) {
-            clear();
-        }
-    }
 
     #[test]
     fn isolated_returns_value_first_try() {
@@ -1015,17 +997,16 @@ mod tests {
 
     #[test]
     fn installed_plan_panics_targeted_cells_only() {
-        let _guard = ClearPlan;
-        install(FaultPlan::parse("panic=unit:1:transient").unwrap());
-        cell_attempt("unit", 0, 0); // untargeted: no panic
-        cell_attempt("unit", 1, 1); // transient fires on attempt 0 only
-        let out: Isolated<()> = isolated(0, |attempt| cell_attempt("unit", 1, attempt));
+        let faults = FaultState::new(FaultPlan::parse("panic=unit:1:transient").unwrap());
+        faults.cell_attempt("unit", 0, 0); // untargeted: no panic
+        faults.cell_attempt("unit", 1, 1); // transient fires on attempt 0 only
+        let out: Isolated<()> = isolated(0, |attempt| faults.cell_attempt("unit", 1, attempt));
         let err = out.result.unwrap_err();
         assert_eq!(err.class, FaultClass::Transient);
         assert!(err.message.contains("unit[1]"), "{err}");
         // With one retry the transient fault heals.
         let healed = isolated(1, |attempt| {
-            cell_attempt("unit", 1, attempt);
+            faults.cell_attempt("unit", 1, attempt);
             "ok"
         });
         assert_eq!(healed.result.unwrap(), "ok");
@@ -1034,18 +1015,26 @@ mod tests {
 
     #[test]
     fn io_faults_fail_first_k_attempts_on_matching_paths() {
-        let _guard = ClearPlan;
-        install(FaultPlan::parse("io=grid_stats:2").unwrap());
-        assert!(io_fault("results/figures.md").is_none(), "pattern mismatch");
-        let first = io_fault("results/grid_stats.json").expect("attempt 1 fails");
-        assert_eq!(first.kind(), io::ErrorKind::Interrupted);
-        assert!(io_fault("results/grid_stats.json").is_some(), "attempt 2");
+        let mut io = FaultPlan::parse("io=grid_stats:2").unwrap().io_faults();
         assert!(
-            io_fault("results/grid_stats.json").is_none(),
+            io.inject("results/figures.md").is_none(),
+            "pattern mismatch"
+        );
+        let first = io
+            .inject("results/grid_stats.json")
+            .expect("attempt 1 fails");
+        assert_eq!(first.kind(), io::ErrorKind::Interrupted);
+        assert!(io.inject("results/grid_stats.json").is_some(), "attempt 2");
+        assert!(
+            io.inject("results/grid_stats.json").is_none(),
             "attempt 3 ok"
         );
-        clear();
-        assert!(io_fault("results/grid_stats.json").is_none(), "no plan");
+        assert!(
+            IoFaults::default()
+                .inject("results/grid_stats.json")
+                .is_none(),
+            "no plan"
+        );
     }
 
     #[test]
@@ -1167,8 +1156,8 @@ mod tests {
 
     #[test]
     fn arming_below_threshold_is_inert_and_disarm_clears() {
-        let _guard = ClearPlan;
-        arm_proc_fault(
+        let mut faults = FaultState::default();
+        faults.arm_proc_fault(
             ProcFault {
                 kind: ProcFaultKind::Die,
                 after_cells: u64::MAX,
@@ -1176,11 +1165,10 @@ mod tests {
             None,
         );
         // Threshold unreachable: the checkpoint must be a no-op.
-        cell_completed();
-        cell_completed();
-        disarm_proc_fault();
-        clear();
-        cell_completed();
+        faults.cell_completed();
+        faults.cell_completed();
+        // A fresh state has nothing armed.
+        FaultState::default().cell_completed();
     }
 
     #[test]

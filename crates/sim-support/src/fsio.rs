@@ -12,9 +12,10 @@
 //!   fsync before returning, so a journal line that the process reported as
 //!   committed survives an immediate crash.
 //!
-//! Both route through [`fault::io_fault`], so a `--fault-plan io=PATTERN:K`
-//! entry can make the first `K` attempts on matching paths fail with a
-//!   retryable [`io::ErrorKind::Interrupted`] error. [`write_atomic_retry`]
+//! Both take the caller's [`IoFaults`] explicitly, so a `--fault-plan
+//! io=PATTERN:K` entry can make the first `K` attempts on matching paths
+//! fail with a retryable [`io::ErrorKind::Interrupted`] error; callers
+//! without a plan pass `&mut IoFaults::default()`. [`write_atomic_retry`]
 //! is the bounded-retry wrapper the executors use: it retries *only*
 //! interrupted writes, a fixed number of times, keeping behaviour
 //! deterministic.
@@ -23,13 +24,13 @@ use std::fs::{self, File, OpenOptions};
 use std::io::{self, Write};
 use std::path::Path;
 
-use crate::fault;
+use crate::fault::IoFaults;
 
 /// Writes `bytes` to `path` atomically: temp file in the same directory,
 /// fsync, rename. On any error the destination is untouched (a stale
 /// `.tmp` sibling may remain; the next successful write replaces it).
-pub fn write_atomic(path: &Path, bytes: &[u8]) -> io::Result<()> {
-    if let Some(err) = fault::io_fault(&path.display().to_string()) {
+pub fn write_atomic(path: &Path, bytes: &[u8], faults: &mut IoFaults) -> io::Result<()> {
+    if let Some(err) = faults.inject(&path.display().to_string()) {
         return Err(err);
     }
     if let Some(parent) = path.parent() {
@@ -88,10 +89,15 @@ pub fn backoff_delay_ms(attempt: u32) -> u64 {
 /// 4 ms, … capped at ~1 s) instead of hot-looping: a disk that answered
 /// `Interrupted` twice in a row needs breathing room, not a third attempt
 /// nanoseconds later.
-pub fn write_atomic_retry(path: &Path, bytes: &[u8], max_retries: u32) -> io::Result<()> {
+pub fn write_atomic_retry(
+    path: &Path,
+    bytes: &[u8],
+    max_retries: u32,
+    faults: &mut IoFaults,
+) -> io::Result<()> {
     let mut attempt = 0u32;
     loop {
-        match write_atomic(path, bytes) {
+        match write_atomic(path, bytes, faults) {
             Ok(()) => return Ok(()),
             Err(err) if err.kind() == io::ErrorKind::Interrupted && attempt < max_retries => {
                 std::thread::sleep(std::time::Duration::from_millis(backoff_delay_ms(attempt)));
@@ -105,8 +111,8 @@ pub fn write_atomic_retry(path: &Path, bytes: &[u8], max_retries: u32) -> io::Re
 /// Appends `line` (a newline is added if missing) to `path`, creating it if
 /// absent, and fsyncs before returning. Used for the per-cell checkpoint
 /// journal: once this returns, the record survives a crash.
-pub fn append_line_durable(path: &Path, line: &str) -> io::Result<()> {
-    if let Some(err) = fault::io_fault(&path.display().to_string()) {
+pub fn append_line_durable(path: &Path, line: &str, faults: &mut IoFaults) -> io::Result<()> {
+    if let Some(err) = faults.inject(&path.display().to_string()) {
         return Err(err);
     }
     if let Some(parent) = path.parent() {
@@ -250,7 +256,7 @@ fn tmp_sibling(path: &Path) -> std::path::PathBuf {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::fault::{self, FaultPlan};
+    use crate::fault::FaultPlan;
 
     fn scratch(name: &str) -> std::path::PathBuf {
         let dir = std::env::temp_dir().join("sim-support-fsio-tests");
@@ -261,9 +267,9 @@ mod tests {
     #[test]
     fn write_atomic_replaces_content_and_leaves_no_tmp() {
         let path = scratch("atomic.json");
-        write_atomic(&path, b"{\"v\":1}").unwrap();
+        write_atomic(&path, b"{\"v\":1}", &mut IoFaults::default()).unwrap();
         assert_eq!(fs::read(&path).unwrap(), b"{\"v\":1}");
-        write_atomic(&path, b"{\"v\":2}").unwrap();
+        write_atomic(&path, b"{\"v\":2}", &mut IoFaults::default()).unwrap();
         assert_eq!(fs::read(&path).unwrap(), b"{\"v\":2}");
         assert!(!tmp_sibling(&path).exists(), "tmp sibling must be renamed");
         fs::remove_file(&path).unwrap();
@@ -273,8 +279,8 @@ mod tests {
     fn append_and_read_journal_drops_torn_tail() {
         let path = scratch("journal.jsonl");
         let _ = fs::remove_file(&path);
-        append_line_durable(&path, "{\"cell\":0}").unwrap();
-        append_line_durable(&path, "{\"cell\":1}\n").unwrap();
+        append_line_durable(&path, "{\"cell\":0}", &mut IoFaults::default()).unwrap();
+        append_line_durable(&path, "{\"cell\":1}\n", &mut IoFaults::default()).unwrap();
         // Simulate a crash mid-append: raw write without trailing newline.
         let mut f = OpenOptions::new().append(true).open(&path).unwrap();
         f.write_all(b"{\"cell\":2").unwrap();
@@ -289,7 +295,7 @@ mod tests {
     fn torn_tail_with_invalid_utf8_is_uncommitted_not_an_error() {
         let path = scratch("torn_utf8.jsonl");
         let _ = fs::remove_file(&path);
-        append_line_durable(&path, "{\"cell\":0}").unwrap();
+        append_line_durable(&path, "{\"cell\":0}", &mut IoFaults::default()).unwrap();
         // A power-loss-style tear: partial record, invalid UTF-8, no newline.
         let mut f = OpenOptions::new().append(true).open(&path).unwrap();
         f.write_all(b"{\"cell\":1,\"lab\xFF\xFE").unwrap();
@@ -304,7 +310,7 @@ mod tests {
         let path = scratch("repair.jsonl");
         let _ = fs::remove_file(&path);
         assert_eq!(repair_torn_tail(&path).unwrap(), 0, "missing file: no-op");
-        append_line_durable(&path, "{\"cell\":0}").unwrap();
+        append_line_durable(&path, "{\"cell\":0}", &mut IoFaults::default()).unwrap();
         assert_eq!(repair_torn_tail(&path).unwrap(), 0, "clean file: no-op");
         let mut f = OpenOptions::new().append(true).open(&path).unwrap();
         f.write_all(b"{\"cell\":1,\"x\xFF").unwrap();
@@ -312,7 +318,7 @@ mod tests {
         assert_eq!(repair_torn_tail(&path).unwrap(), 13, "torn bytes removed");
         // After repair, a fresh append starts a clean line — the corrupt
         // concatenation hazard the repair exists to prevent.
-        append_line_durable(&path, "{\"cell\":2}").unwrap();
+        append_line_durable(&path, "{\"cell\":2}", &mut IoFaults::default()).unwrap();
         let lines = read_journal_lines(&path).unwrap();
         assert_eq!(lines, vec!["{\"cell\":0}", "{\"cell\":2}"]);
         fs::remove_file(&path).unwrap();
@@ -340,45 +346,30 @@ mod tests {
 
     #[test]
     fn transient_faults_retry_with_backoff_then_succeed() {
-        struct ClearPlan;
-        impl Drop for ClearPlan {
-            fn drop(&mut self) {
-                fault::clear();
-            }
-        }
-        let _guard = ClearPlan;
+        let plan = FaultPlan::parse("io=backoff.json:3").unwrap();
         let path = scratch("backoff.json");
         // Three injected transient failures: attempts 1-3 fail, attempt 4
         // succeeds. The retry loop must absorb them (sleeping 1+2+4 ms along
         // the way) and land the write.
-        fault::install(FaultPlan::parse("io=backoff.json:3").unwrap());
-        write_atomic_retry(&path, b"persisted", 3).expect("retries absorb the flakes");
+        write_atomic_retry(&path, b"persisted", 3, &mut plan.io_faults())
+            .expect("retries absorb the flakes");
         assert_eq!(fs::read(&path).unwrap(), b"persisted");
         // An exhausted budget still reports the transient error.
-        fault::install(FaultPlan::parse("io=backoff.json:3").unwrap());
-        let err = write_atomic_retry(&path, b"x", 2).unwrap_err();
+        let err = write_atomic_retry(&path, b"x", 2, &mut plan.io_faults()).unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::Interrupted);
-        fault::clear();
         fs::remove_file(&path).unwrap();
     }
 
     #[test]
     fn injected_io_faults_are_retried_away() {
-        struct ClearPlan;
-        impl Drop for ClearPlan {
-            fn drop(&mut self) {
-                fault::clear();
-            }
-        }
-        let _guard = ClearPlan;
+        let plan = FaultPlan::parse("io=faulted.json:2").unwrap();
         let path = scratch("faulted.json");
-        fault::install(FaultPlan::parse("io=faulted.json:2").unwrap());
-        let err = write_atomic(&path, b"x").unwrap_err();
+        let mut faults = plan.io_faults();
+        let err = write_atomic(&path, b"x", &mut faults).unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::Interrupted);
         // One retry is not enough (two injected failures), three is.
-        assert!(write_atomic_retry(&path, b"x", 0).is_err());
-        fault::install(FaultPlan::parse("io=faulted.json:2").unwrap());
-        write_atomic_retry(&path, b"ok", 3).unwrap();
+        assert!(write_atomic_retry(&path, b"x", 0, &mut faults).is_err());
+        write_atomic_retry(&path, b"ok", 3, &mut plan.io_faults()).unwrap();
         assert_eq!(fs::read(&path).unwrap(), b"ok");
         fs::remove_file(&path).unwrap();
     }

@@ -18,18 +18,19 @@
 //!   median/MAD) writing machine-readable JSON under `results/`.
 //! * [`pool`] — a work-stealing [`ThreadPool`] whose [`pool::par_map`]
 //!   gathers results in submission order, so going parallel cannot perturb
-//!   output ([`pool::set_threads`] / `SIM_THREADS` pick the width; 1 =
-//!   serial).
+//!   output ([`pool::resolve_threads`] picks the width from `--threads` /
+//!   `SIM_THREADS`; 1 = serial).
 //! * [`detmap`] — fixed-seed hash containers ([`DetHashMap`] /
 //!   [`DetHashSet`]), the allowlisted O(1) alternative to `BTreeMap` on hot
 //!   lookup paths where `std`'s randomly seeded `HashMap` is banned (the
 //!   `simlint` D01 rule).
-//! * [`fault`] — deterministic fault injection ([`FaultPlan`]) and the
+//! * [`fault`] — deterministic fault injection ([`FaultPlan`], owned per
+//!   run as a [`FaultState`]) and the
 //!   [`SimError`] taxonomy (Transient / Poison / Fatal) that lets batch
 //!   executors retry, quarantine, or abort on partial failure.
 //! * [`fsio`] — crash-safe results I/O: [`fsio::write_atomic`]
-//!   (temp-file + rename) and fsync'd journal appends, with fault-plan
-//!   injection points.
+//!   (temp-file + rename) and fsync'd journal appends, each taking the
+//!   caller's [`IoFaults`] injection point.
 //!
 //! [SplitMix64]: https://prng.di.unimi.it/splitmix64.c
 //!
@@ -58,8 +59,8 @@ pub mod rng;
 pub use bench::{BenchHarness, BenchResult};
 pub use detmap::{DetHashMap, DetHashSet, DetState};
 pub use fault::{
-    Corruption, FaultClass, FaultPlan, Isolated, NetFault, NetFaultKind, NetFaultPlan, ProcFault,
-    ProcFaultKind, ProcFaultPlan, SimError,
+    Corruption, FaultClass, FaultPlan, FaultState, IoFaults, Isolated, NetFault, NetFaultKind,
+    NetFaultPlan, ProcFault, ProcFaultKind, ProcFaultPlan, SimError,
 };
 pub use pool::{PoolStats, ThreadPool};
 pub use prefetch::prefetch_read;

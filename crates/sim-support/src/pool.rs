@@ -22,11 +22,12 @@
 //! * Worker panics are captured and re-raised on the submitting thread with
 //!   the original payload ([`std::panic::resume_unwind`]), never silently
 //!   dropped.
-//! * Thread count resolution: [`set_threads`] override (the binaries' \
-//!   `--threads N` flag and the tests), else the `SIM_THREADS` environment
-//!   variable, else [`std::thread::available_parallelism`]. A count of 1
-//!   short-circuits to a plain serial loop on the calling thread — the exact
-//!   pre-pool code path.
+//! * Thread count resolution ([`resolve_threads`]): the binaries'
+//!   `--threads N` flag, else the `SIM_THREADS` environment variable, else
+//!   [`std::thread::available_parallelism`]. It runs once per run, and
+//!   the run's context owns the resulting pool. A count of 1 means no pool
+//!   at all: [`par_map`] with `None` is a plain serial loop on the calling
+//!   thread — the exact pre-pool code path.
 //!
 //! ```
 //! use sim_support::pool::ThreadPool;
@@ -386,25 +387,11 @@ pub struct PoolStats {
     pub depth_hwm: usize,
 }
 
-// ---------------------------------------------------------------------------
-// Process-wide thread-count configuration + shared pool handles.
-// ---------------------------------------------------------------------------
-
-/// `0` = no override (fall back to `SIM_THREADS` / available parallelism).
-static THREAD_OVERRIDE: AtomicUsize = AtomicUsize::new(0);
-
-/// Overrides the process-wide thread count (the binaries' `--threads N`).
-/// `0` clears the override. Takes effect on the next [`par_map`] call.
-pub fn set_threads(threads: usize) {
-    THREAD_OVERRIDE.store(threads, Ordering::SeqCst);
-}
-
-/// Resolved thread count: [`set_threads`] override, else `SIM_THREADS`,
-/// else [`std::thread::available_parallelism`].
-pub fn configured_threads() -> usize {
-    let overridden = THREAD_OVERRIDE.load(Ordering::SeqCst);
-    if overridden > 0 {
-        return overridden;
+/// Resolves a run's thread count: the `--threads` flag when given, else
+/// `SIM_THREADS`, else [`std::thread::available_parallelism`].
+pub fn resolve_threads(flag: Option<usize>) -> usize {
+    if let Some(n) = flag.filter(|&n| n > 0) {
+        return n;
     }
     // simlint: allow(D04) -- SIM_THREADS override is documented in README.md and EXPERIMENTS.md
     if let Ok(value) = std::env::var("SIM_THREADS") {
@@ -417,60 +404,17 @@ pub fn configured_threads() -> usize {
     std::thread::available_parallelism().map_or(1, |n| n.get())
 }
 
-/// Shared pools keyed by thread count, built lazily and kept for the process
-/// lifetime (idle workers park on a condvar; keeping them costs nothing and
-/// lets `--threads 1` vs `--threads 4` coexist in one test process).
-fn shared_pool(threads: usize) -> Arc<ThreadPool> {
-    static POOLS: Mutex<Vec<(usize, Arc<ThreadPool>)>> = Mutex::new(Vec::new());
-    let mut pools = POOLS.lock().expect("pool registry poisoned");
-    if let Some((_, pool)) = pools.iter().find(|(n, _)| *n == threads) {
-        return Arc::clone(pool);
-    }
-    let pool = Arc::new(ThreadPool::new(threads));
-    pools.push((threads, Arc::clone(&pool)));
-    pool
-}
-
-/// Handle to the process-shared pool for the configured thread count, or
-/// `None` when the configuration asks for the serial path (1 thread).
-pub fn handle() -> Option<Arc<ThreadPool>> {
-    let threads = configured_threads();
-    if threads <= 1 {
-        None
-    } else {
-        Some(shared_pool(threads))
-    }
-}
-
-/// [`ThreadPool::par_map`] on the process-shared pool — or a plain serial
-/// loop when the configured thread count is 1.
-pub fn par_map<I, T, F>(items: &[I], f: F) -> Vec<T>
+/// [`ThreadPool::par_map`] on `pool` — or a plain serial loop when the run
+/// has no pool (a thread count of 1).
+pub fn par_map<I, T, F>(pool: Option<&ThreadPool>, items: &[I], f: F) -> Vec<T>
 where
     I: Sync,
     T: Send,
     F: Fn(usize, &I) -> T + Sync,
 {
-    match handle() {
+    match pool {
         Some(pool) => pool.par_map(items, f),
         None => items.iter().enumerate().map(|(i, x)| f(i, x)).collect(),
-    }
-}
-
-/// [`ThreadPool::try_par_map`] on the process-shared pool — serial
-/// fallback (still isolated per task) when the configured count is 1.
-pub fn try_par_map<I, T, F>(items: &[I], max_retries: u32, f: F) -> Vec<Isolated<T>>
-where
-    I: Sync,
-    T: Send,
-    F: Fn(usize, &I, u32) -> T + Sync,
-{
-    match handle() {
-        Some(pool) => pool.try_par_map(items, max_retries, f),
-        None => items
-            .iter()
-            .enumerate()
-            .map(|(i, x)| fault::isolated(max_retries, |attempt| f(i, x, attempt)))
-            .collect(),
     }
 }
 
@@ -655,9 +599,8 @@ mod tests {
 
     #[test]
     fn module_level_par_map_respects_serial_override() {
-        // Not using set_threads here (process-global, other tests race);
-        // exercise the serial fallback path directly instead.
-        let out: Vec<u32> = super::par_map(&[1u32, 2, 3], |i, x| x + i as u32);
+        // No pool: the serial fallback path.
+        let out: Vec<u32> = super::par_map(None, &[1u32, 2, 3], |i, x| x + i as u32);
         assert_eq!(out, vec![1, 3, 5]);
     }
 }

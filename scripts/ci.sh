@@ -32,6 +32,12 @@ cargo build --workspace --release
 echo "==> cargo test"
 cargo test --workspace --quiet
 
+echo "==> run-state isolation (lib tests 5x at default test parallelism; a shared-state race fails here)"
+for run in 1 2 3 4 5; do
+    echo "    pass $run/5"
+    cargo test -q -p sim-support -p thermometer-bench --lib
+done
+
 echo "==> figures --threads 2 smoke (parallel path, byte-compared against serial)"
 smoke_env=(THERMO_TRACE_LEN=40000 THERMO_CBP_COUNT=4 THERMO_CBP_LEN=10000
            THERMO_IPC1_COUNT=4 THERMO_IPC1_LEN=10000 THERMO_APPS=kafka,python)

@@ -2,34 +2,29 @@
 //! one grid cell must not take down its siblings — the poisoned cell is
 //! quarantined with a reason, transient faults retry to an identical result,
 //! and every surviving cell's numbers are byte-identical to a fault-free
-//! run. Fault-plan state is process-global, so (like `grid_parallel`) every
-//! test serializes on one mutex and restores defaults before returning.
+//! run. Each test owns its [`RunCtx`] (fault plan, policy, width, sinks),
+//! so the tests run in parallel without serialization.
 
-use std::sync::Mutex; // simlint: allow(D03) -- serializes tests that flip process-global config
+use sim_support::{fault, FaultPlan, FaultState, IoFaults};
+use thermometer_bench::{run_figure, FaultPolicy, RunCtx, Scale};
 
-use sim_support::{fault, pool, FaultPlan};
-use thermometer_bench::{figure_by_id, grid, FaultPolicy, Scale};
-
-/// Serializes the tests in this binary: they install process-global fault
-/// plans and policies.
-// simlint: allow(D03) -- test-only serialization lock, not simulator state
-static EXCLUSIVE: Mutex<()> = Mutex::new(());
-
-/// Restores the default (fault-free, propagate-panics) configuration even
-/// if an assertion fails.
-struct ResetFaults;
-impl Drop for ResetFaults {
-    fn drop(&mut self) {
-        fault::clear();
-        grid::set_fault_policy(FaultPolicy::default());
-        pool::set_threads(0);
-        grid::reset_stats();
-        grid::take_quarantined();
-    }
+/// A `threads`-wide run that isolates failing cells under `plan`.
+fn faulty_ctx(threads: usize, plan: &str, max_retries: u32) -> RunCtx {
+    let mut ctx = RunCtx::new(threads);
+    ctx.faults = FaultState::new(FaultPlan::parse(plan).expect("valid plan"));
+    ctx.policy = FaultPolicy {
+        isolate: true,
+        max_retries,
+    };
+    ctx
 }
 
-fn fig01_rows(scale: &Scale) -> Vec<(String, Vec<u64>)> {
-    let figs = figure_by_id("fig01", scale).expect("known figure id");
+fn fig01_markdown(ctx: &mut RunCtx, scale: &Scale) -> String {
+    run_figure(ctx, "fig01", scale).expect("known figure id")[0].to_markdown()
+}
+
+fn fig01_rows(ctx: &mut RunCtx, scale: &Scale) -> Vec<(String, Vec<u64>)> {
+    let figs = run_figure(ctx, "fig01", scale).expect("known figure id");
     figs[0]
         .rows
         .iter()
@@ -46,26 +41,18 @@ fn fig01_rows(scale: &Scale) -> Vec<(String, Vec<u64>)> {
 
 #[test]
 fn poison_quarantines_one_cell_and_siblings_are_bit_identical() {
-    let _exclusive = EXCLUSIVE.lock().unwrap_or_else(|e| e.into_inner());
-    let _reset = ResetFaults;
     fault::silence_injected_panics();
     let scale = Scale::smoke();
 
-    pool::set_threads(2);
-    let reference = fig01_rows(&scale);
+    let reference = fig01_rows(&mut RunCtx::new(2), &scale);
     assert_eq!(reference.len(), scale.apps.len() + 1, "apps + Avg row");
 
     let victim = scale.apps[1].name.clone();
-    fault::install(FaultPlan::parse("seed=1,panic=fig01:1:poison").expect("valid plan"));
-    grid::set_fault_policy(FaultPolicy {
-        isolate: true,
-        max_retries: 1,
-    });
-    grid::take_quarantined();
-    let survived = fig01_rows(&scale);
+    let mut ctx = faulty_ctx(2, "seed=1,panic=fig01:1:poison", 1);
+    let survived = fig01_rows(&mut ctx, &scale);
 
     // Exactly the victim cell is quarantined, with an attributable reason.
-    let quarantined = grid::take_quarantined();
+    let quarantined = &ctx.quarantined;
     assert_eq!(quarantined.len(), 1, "{quarantined:?}");
     let q = &quarantined[0];
     assert_eq!(
@@ -96,30 +83,21 @@ fn poison_quarantines_one_cell_and_siblings_are_bit_identical() {
 
 #[test]
 fn transient_fault_retries_to_a_byte_identical_figure() {
-    let _exclusive = EXCLUSIVE.lock().unwrap_or_else(|e| e.into_inner());
-    let _reset = ResetFaults;
     fault::silence_injected_panics();
     let scale = Scale::smoke();
 
-    pool::set_threads(2);
-    let reference = figure_by_id("fig01", &scale).expect("known figure id")[0].to_markdown();
+    let reference = fig01_markdown(&mut RunCtx::new(2), &scale);
 
     // The transient fires on attempt 0 only; one retry must fully recover.
-    fault::install(FaultPlan::parse("seed=1,panic=fig01:0:transient").expect("valid plan"));
-    grid::set_fault_policy(FaultPolicy {
-        isolate: true,
-        max_retries: 2,
-    });
-    grid::reset_stats();
-    grid::take_quarantined();
-    let retried = figure_by_id("fig01", &scale).expect("known figure id")[0].to_markdown();
+    let mut ctx = faulty_ctx(2, "seed=1,panic=fig01:0:transient", 2);
+    let retried = fig01_markdown(&mut ctx, &scale);
 
     assert_eq!(
         retried, reference,
         "a retried transient must not perturb the figure"
     );
-    assert!(grid::take_quarantined().is_empty(), "nothing to quarantine");
-    let stats = grid::take_stats();
+    assert!(ctx.quarantined.is_empty(), "nothing to quarantine");
+    let stats = &ctx.stats;
     let cell = stats
         .iter()
         .find(|s| s.figure == "fig01" && s.index == 0)
@@ -142,16 +120,16 @@ fn transient_fault_retries_to_a_byte_identical_figure() {
 #[test]
 fn torn_journal_tail_is_uncommitted_not_an_error() {
     use std::io::Write as _;
-    let _exclusive = EXCLUSIVE.lock().unwrap_or_else(|e| e.into_inner());
     let dir = std::env::temp_dir().join("fault-tolerance-tests");
     std::fs::create_dir_all(&dir).expect("scratch dir");
     let path = dir.join("torn-tail.jsonl");
     let _ = std::fs::remove_file(&path);
 
+    let faults = &mut IoFaults::default();
     let journal = thermometer_bench::Journal::new(&path);
-    journal.start("fp-torn").expect("start");
+    journal.start("fp-torn", faults).expect("start");
     journal
-        .append_figure("fig01", "display one\n", "| a |\n")
+        .append_figure("fig01", "display one\n", "| a |\n", faults)
         .expect("commit fig01");
     // Tear the tail mid-record, with an invalid-UTF-8 byte for good
     // measure — exactly what ProcFaultKind::TornJournal injects.
@@ -174,7 +152,7 @@ fn torn_journal_tail_is_uncommitted_not_an_error() {
     // Load repaired the tail (owner semantics): the next append starts a
     // fresh line and both commits replay.
     journal
-        .append_figure("fig02", "display two\n", "| b |\n")
+        .append_figure("fig02", "display two\n", "| b |\n", faults)
         .expect("append after repair");
     let reloaded = journal
         .load("fp-torn")
@@ -193,23 +171,13 @@ fn torn_journal_tail_is_uncommitted_not_an_error() {
 
 #[test]
 fn quarantine_outcome_is_thread_count_invariant() {
-    let _exclusive = EXCLUSIVE.lock().unwrap_or_else(|e| e.into_inner());
-    let _reset = ResetFaults;
     fault::silence_injected_panics();
     let scale = Scale::smoke();
 
     let run = |threads: usize| {
-        pool::set_threads(threads);
-        fault::install(FaultPlan::parse("seed=7,panic=fig01:2:poison").expect("valid plan"));
-        grid::set_fault_policy(FaultPolicy {
-            isolate: true,
-            max_retries: 1,
-        });
-        grid::take_quarantined();
-        let markdown = figure_by_id("fig01", &scale).expect("known figure id")[0].to_markdown();
-        let quarantined = grid::take_quarantined();
-        fault::clear();
-        (markdown, quarantined.len())
+        let mut ctx = faulty_ctx(threads, "seed=7,panic=fig01:2:poison", 1);
+        let markdown = fig01_markdown(&mut ctx, &scale);
+        (markdown, ctx.quarantined.len())
     };
 
     let (serial, serial_q) = run(1);

@@ -4,62 +4,34 @@
 //! `figures --threads N` exist at all without weakening PR 1's determinism
 //! guarantees.
 //!
-//! Thread-count configuration is process-global (`pool::set_threads`), so
-//! every test here serializes on one mutex and restores the default before
-//! returning.
+//! Every run here owns its [`RunCtx`] — width, hook and stats sinks — so
+//! these tests run in parallel with each other and with the rest of the
+//! suite without any serialization.
 
-use std::sync::Mutex; // simlint: allow(D03) -- serializes tests that flip process-global config
+use sim_support::fault::fnv1a;
+use sim_support::{forall, IoFaults};
+use thermometer_bench::{grid, journal, merge, run_figure, shard, Journal, RunCtx, Scale};
 
-use sim_support::{forall, pool};
-use thermometer_bench::{figure_by_id, grid, journal, merge, shard, Journal, Scale};
-
-/// Serializes the tests in this binary: they flip process-global executor
-/// configuration.
-// simlint: allow(D03) -- test-only serialization lock, not simulator state
-static EXCLUSIVE: Mutex<()> = Mutex::new(());
-
-/// Restores the default thread configuration even if an assertion fails.
-struct ResetThreads;
-impl Drop for ResetThreads {
-    fn drop(&mut self) {
-        pool::set_threads(0);
-    }
-}
-
-fn render(ids: &[&str], scale: &Scale) -> String {
+fn render(ctx: &mut RunCtx, ids: &[&str], scale: &Scale) -> String {
     let mut out = String::new();
     for id in ids {
-        for fig in figure_by_id(id, scale).expect("known figure id") {
+        for fig in run_figure(ctx, id, scale).expect("known figure id") {
             out.push_str(&fig.to_markdown());
         }
     }
     out
 }
 
-/// FNV-1a — the same hash the workload goldens pin trace streams with.
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        hash ^= u64::from(b);
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    hash
-}
-
 #[test]
 fn four_threads_match_one_thread_byte_for_byte() {
-    let _exclusive = EXCLUSIVE.lock().unwrap_or_else(|e| e.into_inner());
-    let _reset = ResetThreads;
     let scale = Scale::smoke();
     // Per-app figures plus fig17 (per-trace suite grid) so both grid entry
     // points are exercised, plus the extension suites whose cells run
     // several frontends each (trrip head-to-head, hierarchy sweep).
     let ids = ["fig01", "fig09", "fig15", "fig17", "trrip", "hierarchy"];
 
-    pool::set_threads(1);
-    let serial = render(&ids, &scale);
-    pool::set_threads(4);
-    let parallel = render(&ids, &scale);
+    let serial = render(&mut RunCtx::new(1), &ids, &scale);
+    let parallel = render(&mut RunCtx::new(4), &ids, &scale);
 
     assert!(!serial.is_empty());
     assert_eq!(
@@ -78,14 +50,13 @@ fn four_threads_match_one_thread_byte_for_byte() {
 /// RNG (or any other mutable state) is threaded across cells.
 #[test]
 fn permuted_cell_execution_order_is_invisible() {
-    let _exclusive = EXCLUSIVE.lock().unwrap_or_else(|e| e.into_inner());
-    let _reset = ResetThreads;
     let scale = Scale::smoke();
     let ids = ["fig01", "fig06"];
 
-    pool::set_threads(1);
-    let forward = render(&ids, &scale);
-    let reversed = grid::with_reversed_serial_order(|| render(&ids, &scale));
+    let mut reversed_ctx = RunCtx::new(1);
+    reversed_ctx.reverse_serial = true;
+    let forward = render(&mut RunCtx::new(1), &ids, &scale);
+    let reversed = render(&mut reversed_ctx, &ids, &scale);
     assert_eq!(
         forward, reversed,
         "cell results depend on execution order — a cross-cell RNG or \
@@ -95,10 +66,8 @@ fn permuted_cell_execution_order_is_invisible() {
     // The per-cell RNG streams themselves are order-independent too.
     let items: Vec<usize> = (0..8).collect();
     let draw = |_: &usize| grid::with_cell_rng(|rng| rng.next_u64());
-    let a = grid::run_cells("order-probe", &items, |i| i.to_string(), draw);
-    let b = grid::with_reversed_serial_order(|| {
-        grid::run_cells("order-probe", &items, |i| i.to_string(), draw)
-    });
+    let a = RunCtx::new(1).run_cells("order-probe", &items, |i| i.to_string(), draw);
+    let b = reversed_ctx.run_cells("order-probe", &items, |i| i.to_string(), draw);
     assert_eq!(a, b, "cell RNG streams depend on execution order");
 }
 
@@ -152,24 +121,29 @@ fn write_shard_journal(
     let path = merge::shard_journal_path(dir, number);
     let journal = Journal::new(&path);
     journal
-        .start(&journal::run_fingerprint(scale, &sub))
+        .start(
+            &journal::run_fingerprint(scale, &sub),
+            &mut IoFaults::default(),
+        )
         .expect("start shard journal");
+    let mut ctx = RunCtx::new(1);
     let hook_journal = Journal::new(&path);
-    grid::set_cell_hook(Some(Box::new(move |outcome| {
-        hook_journal.append_cell(&outcome).expect("journal append");
-    })));
+    ctx.hook = Some(Box::new(move |outcome, faults| {
+        hook_journal
+            .append_cell(&outcome, faults)
+            .expect("journal append");
+    }));
     for id in &sub {
         let mut display = String::new();
         let mut markdown = String::new();
-        for fig in figure_by_id(id, scale).expect("known figure id") {
+        for fig in run_figure(&mut ctx, id, scale).expect("known figure id") {
             display.push_str(&format!("{fig}\n"));
             markdown.push_str(&fig.to_markdown());
         }
         journal
-            .append_figure(id, &display, &markdown)
+            .append_figure(id, &display, &markdown, &mut ctx.faults.io)
             .expect("commit figure");
     }
-    grid::set_cell_hook(None);
 }
 
 /// Satellite of ISSUE 10: merging shard journals is invariant to the
@@ -178,9 +152,6 @@ fn write_shard_journal(
 /// merges (journal bytes, report, display) must be identical.
 #[test]
 fn merge_of_permuted_shard_order_is_byte_identical() {
-    let _exclusive = EXCLUSIVE.lock().unwrap_or_else(|e| e.into_inner());
-    let _reset = ResetThreads;
-    pool::set_threads(1);
     let scale = Scale::smoke();
     let ids: Vec<String> = ["fig01", "fig06", "fig09", "fig15", "fig19"]
         .iter()
@@ -232,21 +203,15 @@ fn merge_of_permuted_shard_order_is_byte_identical() {
     );
 }
 
-/// The observability registry records one stat per cell, in canonical order,
+/// The run's stats sink records one stat per cell, in canonical order,
 /// with non-trivial work accounting from the trace helpers.
 #[test]
 fn grid_stats_cover_every_cell_in_canonical_order() {
-    let _exclusive = EXCLUSIVE.lock().unwrap_or_else(|e| e.into_inner());
-    let _reset = ResetThreads;
     let scale = Scale::smoke();
 
-    pool::set_threads(2);
-    grid::reset_stats();
-    render(&["fig01"], &scale);
-    let stats: Vec<_> = grid::take_stats()
-        .into_iter()
-        .filter(|s| s.figure == "fig01")
-        .collect();
+    let mut ctx = RunCtx::new(2);
+    render(&mut ctx, &["fig01"], &scale);
+    let stats = &ctx.stats;
     assert_eq!(stats.len(), scale.apps.len(), "one cell per app");
     for (i, stat) in stats.iter().enumerate() {
         assert_eq!(stat.index, i, "stats gathered out of canonical order");
