@@ -25,25 +25,36 @@
 //! run; `--max-retries N` grants transiently failing cells N extra
 //! attempts. `--resume` replays journaled figures byte-for-byte and
 //! recomputes only the rest. `--fault-plan <spec>` injects deterministic
-//! faults (see `sim_support::fault`) — the crash-resume CI stage uses it.
+//! faults (grammar in `sim_support::fault`; every key but `net=`) — the
+//! crash-resume CI stage uses it.
 //!
 //! Sharded sweeps (DESIGN.md §13): `figures sweep` partitions the figure
 //! list into `--shards N` round-robin shards, runs one supervised worker
 //! process per shard, and merges the shard journals into output
 //! byte-identical to a serial run — stamped `incomplete` (exit 3) when a
 //! poison shard exhausted its restarts. A worker is this same binary with
-//! `--shard i/N`; `--proc-fault <spec>` injects deterministic
-//! process-level faults (`sim_support::ProcFaultPlan`) keyed by
-//! `(shard, attempt)`. `figures merge` recombines existing shard journals
-//! without spawning anything.
+//! `--shard i/N`; the supervisor validates `--fault-plan` once and hands
+//! the same spec to every worker, whose `proc=SHARD:ATTEMPT:KIND[:AFTER]`
+//! entries inject process-level faults keyed by `(shard, attempt)`.
+//! `figures merge` recombines existing shard journals without spawning
+//! anything.
 
 use std::time::Instant;
 
-use sim_support::{fault, fsio, pool, FaultPlan, FaultState, IoFaults, ProcFaultPlan};
+use sim_support::{fault, fsio, pool, FaultPlan, FaultState, IoFaults};
 use thermometer_bench::{
     journal, merge, run_figure, sweep, FaultPolicy, Journal, RunCtx, Scale, ShardSpec, SweepConfig,
     FIGURE_IDS,
 };
+
+/// Parses `--fault-plan`, exiting with a usage error on a bad spec or on a
+/// key whose site a grid run never reaches (`net=`).
+fn parse_fault_plan(spec: &str) -> FaultPlan {
+    let keys = ["seed", "panic", "panic-rate", "io", "exit-after", "proc"];
+    FaultPlan::parse(spec)
+        .and_then(|plan| plan.accept_only(&keys))
+        .unwrap_or_else(|e| usage(&e))
+}
 
 fn main() {
     let mut args: Vec<String> = std::env::args().skip(1).collect();
@@ -60,109 +71,83 @@ fn main() {
     }
 }
 
-/// Shared flag state for the `sweep` and `merge` subcommands.
+/// Shared flag state for the `sweep` and `merge` subcommands; `merge`
+/// uses only the figure list, shard count and directory of `cfg`.
 struct SweepArgs {
-    ids: Vec<String>,
-    shards: usize,
-    dir: String,
+    cfg: SweepConfig,
     markdown: Option<String>,
     journal_out: String,
-    cfg_mut: Vec<(String, String)>,
 }
 
 fn parse_sweep_args(args: Vec<String>, merge_only: bool) -> SweepArgs {
-    let mut parsed = SweepArgs {
-        ids: Vec::new(),
-        shards: 0,
-        dir: concat!(env!("CARGO_MANIFEST_DIR"), "/../../results/sweep").to_owned(),
-        markdown: None,
-        journal_out: concat!(
-            env!("CARGO_MANIFEST_DIR"),
-            "/../../results/grid_journal.jsonl"
-        )
-        .to_owned(),
-        cfg_mut: Vec::new(),
-    };
+    let sweep_dir = concat!(env!("CARGO_MANIFEST_DIR"), "/../../results/sweep");
+    let mut cfg = SweepConfig::new(Vec::new(), 0, sweep_dir.into());
+    let mut markdown = None;
+    let mut journal_out = concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/../../results/grid_journal.jsonl"
+    )
+    .to_owned();
+    let sweep = !merge_only;
     let mut iter = args.into_iter();
-    let take = |iter: &mut std::vec::IntoIter<String>, flag: &str| {
-        iter.next()
-            .unwrap_or_else(|| usage(&format!("missing value after {flag}")))
-    };
     while let Some(arg) = iter.next() {
         match arg.as_str() {
-            "--shards" => {
-                parsed.shards = take(&mut iter, "--shards")
-                    .parse()
-                    .unwrap_or_else(|_| usage("bad --shards"));
+            "--shards" => cfg.shards = flag_value(&arg, iter.next()),
+            "--dir" => cfg.dir = flag_value(&arg, iter.next()),
+            "--markdown" => markdown = Some(flag_value(&arg, iter.next())),
+            "--journal" => journal_out = flag_value(&arg, iter.next()),
+            "--threads" if sweep => cfg.worker_threads = Some(flag_value(&arg, iter.next())),
+            "--quarantine" if sweep => cfg.quarantine = true,
+            "--max-retries" if sweep => cfg.max_retries = flag_value(&arg, iter.next()),
+            "--fault-plan" if sweep => {
+                let spec: String = flag_value(&arg, iter.next());
+                // Validate up front so a typo fails the sweep, not the fleet.
+                parse_fault_plan(&spec);
+                cfg.fault_plan = Some(spec);
             }
-            "--dir" => parsed.dir = take(&mut iter, "--dir"),
-            "--markdown" => parsed.markdown = Some(take(&mut iter, "--markdown")),
-            "--journal" => parsed.journal_out = take(&mut iter, "--journal"),
-            "--threads" | "--max-retries" | "--fault-plan" | "--proc-fault" | "--max-restarts"
-            | "--tick-ms" | "--stall-ticks" | "--straggler-factor" | "--seed"
-                if !merge_only =>
-            {
-                let value = take(&mut iter, &arg);
-                parsed.cfg_mut.push((arg, value));
+            "--max-restarts" if sweep => cfg.max_restarts = flag_value(&arg, iter.next()),
+            "--tick-ms" if sweep => cfg.tick_ms = flag_value::<u64>(&arg, iter.next()).max(1),
+            "--stall-ticks" if sweep => {
+                cfg.stall_ticks = flag_value::<u64>(&arg, iter.next()).max(1);
             }
-            "--quarantine" | "--resume" if !merge_only => {
-                parsed.cfg_mut.push((arg, String::new()));
+            "--straggler-factor" if sweep => {
+                cfg.straggler_factor = flag_value::<u64>(&arg, iter.next()).max(2);
             }
+            "--resume" if sweep => cfg.resume = true,
+            "--seed" if sweep => cfg.seed = flag_value(&arg, iter.next()),
             "--help" | "-h" => usage(""),
             other if other.starts_with("--") => usage(&format!("unknown flag {other}")),
-            other => parsed.ids.push(other.to_owned()),
+            other => cfg.ids.push(other.to_owned()),
         }
     }
-    if parsed.ids.is_empty() {
+    if cfg.ids.is_empty() {
         usage("no figures requested");
     }
-    if parsed.ids.iter().any(|id| id == "all") {
-        parsed.ids = FIGURE_IDS.iter().map(|s| s.to_string()).collect();
+    if cfg.ids.iter().any(|id| id == "all") {
+        cfg.ids = FIGURE_IDS.iter().map(|s| s.to_string()).collect();
     }
-    if parsed.shards == 0 {
+    if cfg.shards == 0 {
         usage("sweep/merge need --shards N (>= 1)");
     }
-    parsed
+    SweepArgs {
+        cfg,
+        markdown,
+        journal_out,
+    }
 }
 
 fn run_sweep_cli(args: Vec<String>) -> ! {
-    let parsed = parse_sweep_args(args, false);
-    let mut cfg = SweepConfig::new(
-        parsed.ids.clone(),
-        parsed.shards,
-        std::path::PathBuf::from(&parsed.dir),
-    );
-    for (flag, value) in &parsed.cfg_mut {
-        let parse_u64 = || -> u64 {
-            value
-                .parse()
-                .unwrap_or_else(|_| usage(&format!("bad {flag}")))
-        };
-        match flag.as_str() {
-            "--threads" => cfg.worker_threads = Some(parse_u64() as usize),
-            "--quarantine" => cfg.quarantine = true,
-            "--max-retries" => cfg.max_retries = parse_u64() as u32,
-            "--fault-plan" => cfg.fault_plan = Some(value.clone()),
-            "--proc-fault" => {
-                // Validate up front so a typo fails the sweep, not the fleet.
-                ProcFaultPlan::parse(value).unwrap_or_else(|e| usage(&e));
-                cfg.proc_fault = Some(value.clone());
-            }
-            "--max-restarts" => cfg.max_restarts = parse_u64() as u32,
-            "--tick-ms" => cfg.tick_ms = parse_u64().max(1),
-            "--stall-ticks" => cfg.stall_ticks = parse_u64().max(1),
-            "--straggler-factor" => cfg.straggler_factor = parse_u64().max(2),
-            "--resume" => cfg.resume = true,
-            "--seed" => cfg.seed = parse_u64(),
-            _ => unreachable!("parse_sweep_args vetted the flag list"),
-        }
-    }
+    let SweepArgs {
+        cfg,
+        markdown,
+        journal_out,
+    } = parse_sweep_args(args, false);
     let scale = Scale::from_env();
     eprintln!(
         "sweep: {} figure(s) over {} shard(s) under {}",
         cfg.ids.len(),
         cfg.shards,
-        parsed.dir
+        cfg.dir.display()
     );
     let report = sweep::run_sweep(&cfg, &scale).unwrap_or_else(|e| {
         eprintln!("sweep setup failed: {e}");
@@ -183,29 +168,18 @@ fn run_sweep_cli(args: Vec<String>) -> ! {
     if let Err(e) = sweep::write_sweep_stats(&cfg, &report) {
         eprintln!("failed to write sweep_stats.json: {e}");
     }
-    emit_merge_outputs(
-        &report.merge,
-        &scale,
-        parsed.markdown.as_deref(),
-        &parsed.journal_out,
-    );
+    emit_merge_outputs(&report.merge, &scale, markdown.as_deref(), &journal_out);
 }
 
 fn run_merge_cli(args: Vec<String>) -> ! {
-    let parsed = parse_sweep_args(args, true);
+    let SweepArgs {
+        cfg,
+        markdown,
+        journal_out,
+    } = parse_sweep_args(args, true);
     let scale = Scale::from_env();
-    let outcome = merge::merge_shards(
-        &scale,
-        &parsed.ids,
-        parsed.shards,
-        std::path::Path::new(&parsed.dir),
-    );
-    emit_merge_outputs(
-        &outcome,
-        &scale,
-        parsed.markdown.as_deref(),
-        &parsed.journal_out,
-    );
+    let outcome = merge::merge_shards(&scale, &cfg.ids, cfg.shards, &cfg.dir);
+    emit_merge_outputs(&outcome, &scale, markdown.as_deref(), &journal_out);
 }
 
 /// Prints the merged display, writes the merged journal and optional
@@ -260,78 +234,34 @@ fn run_worker(args: Vec<String>) {
     let mut resume = false;
     let mut quarantine = false;
     let mut max_retries: u32 = 0;
-    let mut fault_plan: Option<String> = None;
+    let mut fault_plan: Option<FaultPlan> = None;
     let mut threads: Option<usize> = None;
     let mut shard: Option<ShardSpec> = None;
     let mut attempt: u32 = 0;
-    let mut proc_fault: Option<String> = None;
     let mut iter = args.into_iter();
     while let Some(arg) = iter.next() {
         match arg.as_str() {
-            "--markdown" => {
-                markdown_path = Some(
-                    iter.next()
-                        .unwrap_or_else(|| usage("missing path after --markdown")),
-                );
-            }
-            "--threads" => {
-                let n: usize = iter
-                    .next()
-                    .unwrap_or_else(|| usage("missing count after --threads"))
-                    .parse()
-                    .unwrap_or_else(|_| usage("bad --threads"));
-                if n == 0 {
-                    usage("--threads must be >= 1");
-                }
-                threads = Some(n);
-            }
-            "--grid-stats" => {
-                grid_stats_path = iter
-                    .next()
-                    .unwrap_or_else(|| usage("missing path after --grid-stats"));
-            }
-            "--journal" => {
-                journal_path = iter
-                    .next()
-                    .unwrap_or_else(|| usage("missing path after --journal"));
-            }
+            "--markdown" => markdown_path = Some(flag_value(&arg, iter.next())),
+            "--threads" => threads = Some(flag_value(&arg, iter.next())),
+            "--grid-stats" => grid_stats_path = flag_value(&arg, iter.next()),
+            "--journal" => journal_path = flag_value(&arg, iter.next()),
             "--resume" => resume = true,
             "--quarantine" => quarantine = true,
-            "--max-retries" => {
-                max_retries = iter
-                    .next()
-                    .unwrap_or_else(|| usage("missing count after --max-retries"))
-                    .parse()
-                    .unwrap_or_else(|_| usage("bad --max-retries"));
-            }
+            "--max-retries" => max_retries = flag_value(&arg, iter.next()),
             "--fault-plan" => {
-                fault_plan = Some(
-                    iter.next()
-                        .unwrap_or_else(|| usage("missing spec after --fault-plan")),
-                );
+                fault_plan = Some(parse_fault_plan(&flag_value::<String>(&arg, iter.next())))
             }
             "--shard" => {
-                let spec = iter
-                    .next()
-                    .unwrap_or_else(|| usage("missing i/N after --shard"));
+                let spec: String = flag_value(&arg, iter.next());
                 shard = Some(ShardSpec::parse(&spec).unwrap_or_else(|e| usage(&e)));
             }
-            "--attempt" => {
-                attempt = iter
-                    .next()
-                    .unwrap_or_else(|| usage("missing index after --attempt"))
-                    .parse()
-                    .unwrap_or_else(|_| usage("bad --attempt"));
-            }
-            "--proc-fault" => {
-                proc_fault = Some(
-                    iter.next()
-                        .unwrap_or_else(|| usage("missing spec after --proc-fault")),
-                );
-            }
+            "--attempt" => attempt = flag_value(&arg, iter.next()),
             "--help" | "-h" => usage(""),
             other => ids.push(other.to_owned()),
         }
+    }
+    if threads == Some(0) {
+        usage("--threads must be >= 1");
     }
     if ids.is_empty() {
         usage("no figures requested");
@@ -349,22 +279,17 @@ fn run_worker(args: Vec<String>) {
 
     // The run's whole configuration and sinks, passed down explicitly.
     let mut ctx = RunCtx::new(pool::resolve_threads(threads));
-    if let Some(spec) = &fault_plan {
-        let plan = FaultPlan::parse(spec).unwrap_or_else(|e| usage(&e));
-        ctx.faults = FaultState::new(plan);
-    }
-    if let Some(spec) = &proc_fault {
-        let plan = ProcFaultPlan::parse(spec).unwrap_or_else(|e| usage(&e));
+    if let Some(plan) = fault_plan {
         let number = shard.map_or(1, |s| s.number) as u64;
-        if let Some(planned) = plan.fault_for(number, attempt) {
+        if let Some(planned) = plan.proc_fault(number, attempt) {
             eprintln!(
-                "proc-fault armed: {} after {} cell(s) (shard {number}, attempt {attempt})",
+                "proc fault armed: {} after {} cell(s) (shard {number}, attempt {attempt})",
                 planned.kind.name(),
                 planned.after_cells
             );
-            ctx.faults
-                .arm_proc_fault(planned, Some(std::path::PathBuf::from(&journal_path)));
         }
+        let journal = Some(std::path::PathBuf::from(&journal_path));
+        ctx.faults = FaultState::for_worker(plan, number, attempt, journal);
     }
     if quarantine {
         ctx.policy = FaultPolicy {
@@ -514,6 +439,14 @@ fn run_worker(args: Vec<String>) {
     }
 }
 
+/// The value after `flag`, parsed; a usage error when missing or malformed.
+fn flag_value<T: std::str::FromStr>(flag: &str, value: Option<String>) -> T {
+    let value = value.unwrap_or_else(|| usage(&format!("missing value after {flag}")));
+    value
+        .parse()
+        .unwrap_or_else(|_| usage(&format!("bad {flag} {value:?}")))
+}
+
 fn usage(error: &str) -> ! {
     if !error.is_empty() {
         eprintln!("error: {error}");
@@ -521,11 +454,10 @@ fn usage(error: &str) -> ! {
     eprintln!(
         "usage: figures <fig01|...|fig21|all>... [--markdown <path>] [--threads N] \
          [--grid-stats <path>] [--journal <path>] [--resume] [--quarantine] \
-         [--max-retries N] [--fault-plan <spec>] [--shard i/N] [--attempt K] \
-         [--proc-fault <spec>]\n\
+         [--max-retries N] [--fault-plan <spec>] [--shard i/N] [--attempt K]\n\
          \x20      figures sweep <ids|all>... --shards N [--dir <path>] [--markdown <path>] \
          [--journal <path>] [--threads N] [--quarantine] [--max-retries N] \
-         [--fault-plan <spec>] [--proc-fault <spec>] [--max-restarts N] [--tick-ms MS] \
+         [--fault-plan <spec>] [--max-restarts N] [--tick-ms MS] \
          [--stall-ticks N] [--straggler-factor N] [--resume] [--seed N]\n\
          \x20      figures merge <ids|all>... --shards N [--dir <path>] [--markdown <path>] \
          [--journal <path>]"

@@ -315,7 +315,7 @@ impl RunCtx {
                     self.quarantined.push(record);
                 }
             }
-            // Crash checkpoint for `exit-after=N` fault plans.
+            // Crash checkpoint for `exit-after=` / `proc=` process faults.
             self.faults.cell_completed();
         }
         values

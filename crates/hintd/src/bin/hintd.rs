@@ -13,6 +13,7 @@
 //! hands a [`sim_support::FaultPlan`] to the store's config; `exit-after=N`
 //! makes the process exit with code 86 after the N-th journaled batch —
 //! the crash harness's scalpel — and `io=PATTERN:K` fails journal appends.
+//! Every other key is a usage error: the server never reaches its site.
 //! Restarting with the same `--data-dir` replays the journals before
 //! accepting traffic.
 
@@ -70,7 +71,9 @@ fn main() -> ExitCode {
             "--btb-ways" => btb_ways = parse(&value("--btb-ways"), "--btb-ways"),
             "--fault-plan" => {
                 let spec = value("--fault-plan");
-                store.fault_plan = FaultPlan::parse(&spec).unwrap_or_else(|err| usage(&err));
+                store.fault_plan = FaultPlan::parse(&spec)
+                    .and_then(|plan| plan.accept_only(&["io", "exit-after"]))
+                    .unwrap_or_else(|err| usage(&err));
             }
             other => usage(&format!("unknown flag {other:?}")),
         }

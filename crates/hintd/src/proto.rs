@@ -40,7 +40,7 @@ use std::io::{self, Cursor, Read, Write};
 
 use btb_trace::codec;
 use btb_trace::Trace;
-use sim_support::FaultClass;
+use sim_support::{leb128, FaultClass};
 use thermometer::HintTable;
 
 /// Hard cap on a frame's payload size. Generous for real batches (a
@@ -241,13 +241,13 @@ impl WireTable {
     }
 
     fn encode_into(&self, buf: &mut Vec<u8>) {
-        put_varint(buf, u64::from(self.bits));
-        put_varint(buf, self.categories);
-        put_varint(buf, self.entries.len() as u64);
+        leb128::put(buf, u64::from(self.bits));
+        leb128::put(buf, self.categories);
+        leb128::put(buf, self.entries.len() as u64);
         let mut prev = 0u64;
         for (i, &(pc, hint)) in self.entries.iter().enumerate() {
             let gap = if i == 0 { pc } else { pc - prev };
-            put_varint(buf, gap);
+            leb128::put(buf, gap);
             buf.push(hint);
             prev = pc;
         }
@@ -319,10 +319,10 @@ pub fn read_frame<R: Read>(r: &mut R) -> Result<Vec<u8>, ProtoError> {
 pub fn encode_ingest(batch_id: u64, app: &str, trace: &Trace) -> Vec<u8> {
     let mut buf = Vec::with_capacity(app.len() + 64);
     buf.push(VERB_INGEST);
-    put_varint(&mut buf, batch_id);
-    put_varint(&mut buf, app.len() as u64);
+    leb128::put(&mut buf, batch_id);
+    leb128::put(&mut buf, app.len() as u64);
     buf.extend_from_slice(app.as_bytes());
-    codec::write_binary(&mut buf, trace).expect("Vec<u8> writes are infallible");
+    codec::append_binary(&mut buf, trace);
     buf
 }
 
@@ -330,7 +330,7 @@ pub fn encode_ingest(batch_id: u64, app: &str, trace: &Trace) -> Vec<u8> {
 pub fn encode_query(app: &str) -> Vec<u8> {
     let mut buf = Vec::with_capacity(app.len() + 2);
     buf.push(VERB_QUERY);
-    put_varint(&mut buf, app.len() as u64);
+    leb128::put(&mut buf, app.len() as u64);
     buf.extend_from_slice(app.as_bytes());
     buf
 }
@@ -395,13 +395,13 @@ pub fn encode_response(resp: &Response) -> Vec<u8> {
         Response::Ingest(ack) => {
             buf.push(VERB_INGEST);
             buf.push(u8::from(ack.deduped) | (u8::from(ack.deferred) << 1));
-            put_varint(&mut buf, ack.accepted);
-            put_varint(&mut buf, ack.backlog);
+            leb128::put(&mut buf, ack.accepted);
+            leb128::put(&mut buf, ack.backlog);
         }
         Response::Query(reply) => {
             buf.push(VERB_QUERY);
             buf.push(u8::from(reply.stale));
-            put_varint(&mut buf, reply.backlog);
+            leb128::put(&mut buf, reply.backlog);
             reply.table.encode_into(&mut buf);
         }
         Response::Health(h) => {
@@ -415,13 +415,13 @@ pub fn encode_response(resp: &Response) -> Vec<u8> {
                 h.connections,
                 h.reaped,
             ] {
-                put_varint(&mut buf, v);
+                leb128::put(&mut buf, v);
             }
         }
         Response::Error { class, message } => {
             buf.push(TAG_ERROR);
             buf.push(class_byte(*class));
-            put_varint(&mut buf, message.len() as u64);
+            leb128::put(&mut buf, message.len() as u64);
             buf.extend_from_slice(message.as_bytes());
         }
     }
@@ -505,32 +505,11 @@ fn parse_class(b: u8) -> Result<FaultClass, ProtoError> {
 // Primitives: LEB128 varints, strings
 // ---------------------------------------------------------------------------
 
-fn put_varint(buf: &mut Vec<u8>, mut v: u64) {
-    loop {
-        let byte = (v & 0x7f) as u8;
-        v >>= 7;
-        if v == 0 {
-            buf.push(byte);
-            return;
-        }
-        buf.push(byte | 0x80);
-    }
-}
-
 fn get_varint(buf: &[u8], pos: &mut usize) -> Result<u64, ProtoError> {
-    let mut value = 0u64;
-    let mut shift = 0u32;
-    loop {
-        let byte = get_u8(buf, pos, "varint")?;
-        if shift >= 64 || (shift == 63 && byte > 1) {
-            return Err(ProtoError::Malformed("varint overflows u64".into()));
-        }
-        value |= u64::from(byte & 0x7f) << shift;
-        if byte & 0x80 == 0 {
-            return Ok(value);
-        }
-        shift += 7;
-    }
+    leb128::decode(
+        || get_u8(buf, pos, "varint"),
+        || ProtoError::Malformed("varint overflows u64".into()),
+    )
 }
 
 fn get_u8(buf: &[u8], pos: &mut usize, what: &'static str) -> Result<u8, ProtoError> {
@@ -715,7 +694,7 @@ mod tests {
         let mut buf = Vec::new();
         let values = [0u64, 1, 127, 128, 16383, 16384, u64::MAX];
         for &v in &values {
-            put_varint(&mut buf, v);
+            leb128::put(&mut buf, v);
         }
         let mut pos = 0;
         for &v in &values {
@@ -726,5 +705,11 @@ mod tests {
         let bad = [0xffu8; 10];
         let mut pos = 0;
         assert!(get_varint(&bad, &mut pos).is_err());
+        // So does a 10th byte above 1 (2^64), here as the frame's batch id.
+        let mut overlong = vec![VERB_INGEST];
+        overlong.extend([0x80; 9]);
+        overlong.push(0x02);
+        let err = decode_request(&overlong).unwrap_err();
+        assert!(matches!(err, ProtoError::Malformed(_)), "{err:?}");
     }
 }

@@ -35,14 +35,13 @@
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::io;
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
 use btb_model::BtbConfig;
 use btb_trace::{codec, Trace};
 use sim_support::fault::{fnv1a, IoFaults};
 use sim_support::fsio;
-use sim_support::{FaultClass, FaultPlan};
+use sim_support::{FaultClass, FaultPlan, FaultState};
 use thermometer::{IncrementalProfiler, TemperatureConfig};
 
 use crate::proto::{self, HealthReply, IngestAck, QueryReply, Response, WireTable};
@@ -143,9 +142,9 @@ pub struct HintStore {
     temperature: TemperatureConfig,
     watermark: usize,
     drain_per_health: usize,
-    fault_plan: FaultPlan,
-    /// Batches journaled since open: the `exit-after` crash countdown.
-    journaled: AtomicU64,
+    /// Counts batches journaled since open: the `exit-after` crash
+    /// countdown.
+    faults: Mutex<FaultState>,
 }
 
 impl HintStore {
@@ -175,8 +174,7 @@ impl HintStore {
             temperature: config.temperature,
             watermark: config.watermark,
             drain_per_health: config.drain_per_health,
-            fault_plan: config.fault_plan,
-            journaled: AtomicU64::new(0),
+            faults: Mutex::new(FaultState::new(config.fault_plan)),
         };
         store.replay()?;
         Ok(store)
@@ -222,7 +220,7 @@ impl HintStore {
 
     /// Accepts (or deduplicates) one batch. Journal-then-ack: the
     /// acknowledgement this returns is durable. The journal append is also
-    /// the crash checkpoint — [`FaultPlan::crash_checkpoint`] fires after
+    /// the crash checkpoint — [`FaultState::cell_completed`] runs after
     /// it, so a `--fault-plan exit-after=N` kills the process at a chosen
     /// journal offset for the recovery tests.
     pub fn ingest_response(&self, app: &str, batch_id: u64, trace: Trace) -> Response {
@@ -260,8 +258,7 @@ impl HintStore {
         }
         // Durable — this batch now counts as accepted even if we die on
         // the very next instruction (the crash tests do exactly that).
-        let journaled = self.journaled.fetch_add(1, Ordering::SeqCst) + 1;
-        self.fault_plan.crash_checkpoint(journaled);
+        lock(&self.faults).cell_completed();
         let state = self.app_entry(&mut shard, app);
         state.seen.insert(batch_id);
         state.pending.push_back(trace);
@@ -359,12 +356,12 @@ impl HintStore {
     }
 }
 
-fn lock<'a>(shard: &'a Mutex<Shard>) -> std::sync::MutexGuard<'a, Shard> {
+fn lock<T>(mutex: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
     // A handler that panicked while holding the lock has made no partial
     // mutation worth protecting (journal-then-mutate keeps the durable
     // state ahead of the in-memory state), so recover rather than wedge
     // every future request for the shard.
-    shard
+    mutex
         .lock()
         .unwrap_or_else(|poisoned| poisoned.into_inner())
 }
@@ -396,7 +393,7 @@ fn validate_app(app: &str) -> Result<(), String> {
 /// One journal record: `version batch_id app hex(trace-BTBT-blob)`.
 fn journal_line(batch_id: u64, app: &str, trace: &Trace) -> String {
     let mut blob = Vec::new();
-    codec::write_binary(&mut blob, trace).expect("Vec<u8> writes are infallible");
+    codec::append_binary(&mut blob, trace);
     format!("{JOURNAL_VERSION} {batch_id} {app} {}", hex_encode(&blob))
 }
 

@@ -11,10 +11,11 @@
 //!   [`FaultClass::Fatal`] (the run itself is compromised — abort).
 //!   Executors decide retry vs quarantine vs abort from the class alone.
 //! * **Injection** — a [`FaultPlan`] parsed from a spec string (the
-//!   `figures --fault-plan` flag) chooses, *deterministically*, which grid
-//!   cells panic, which `results/` writes fail, and when the process dies
-//!   mid-run. Every choice is a pure function of the plan seed and the
-//!   fault site, so a faulty run is exactly reproducible — the property the
+//!   `--fault-plan` flag of `figures`, `hintd` and `hintload`) chooses,
+//!   *deterministically*, which grid cells panic, which `results/` writes
+//!   fail, which wire frames are injured and how a process dies mid-run.
+//!   Every choice is a pure function of the plan seed and the fault site,
+//!   so a faulty run is exactly reproducible — the property the
 //!   crash-resume CI stage relies on. The binary that parsed the plan owns
 //!   it as a [`FaultState`] inside its run context and passes it down
 //!   explicitly; nothing here is process-global, so runs with different
@@ -26,25 +27,62 @@
 //!
 //! # Plan spec grammar
 //!
-//! Comma-separated `key=value` entries:
+//! Comma-separated `key=value` entries; each names a fault site and what
+//! happens there. Keys may repeat. Where several entries match one site the
+//! first wins, except that an exact `panic=` cell beats `panic-rate=`.
 //!
-//! | entry | meaning |
-//! |-------|---------|
-//! | `seed=N`              | seeds rate-based draws (default 0) |
-//! | `panic=FIG:IDX:CLASS` | cell `(FIG, IDX)` panics with `CLASS` (repeatable) |
-//! | `panic-rate=P:CLASS`  | every cell panics with probability `P` |
-//! | `io=PATTERN:K`        | first `K` writes to paths containing `PATTERN` fail transiently |
-//! | `exit-after=N`        | `process::exit(86)` once `N` cells (or `hintd` batches) have been journaled |
+//! | entry | example | fault |
+//! |-------|---------|-------|
+//! | `seed=N`                     | `seed=7`                   | seeds `panic-rate` draws (default 0) |
+//! | `panic=FIG:IDX:CLASS`        | `panic=fig01:2:poison`     | cell `(FIG, IDX)` panics with `CLASS` |
+//! | `panic-rate=P:CLASS`         | `panic-rate=0.5:transient` | every cell panics with probability `P` |
+//! | `io=PATTERN:K`               | `io=grid_stats:2`          | first `K` writes to paths containing `PATTERN` fail transiently |
+//! | `exit-after=N`               | `exit-after=3`             | `proc` `die` for every process: exit 86 once `N` cells (or `hintd` batches) are journaled |
+//! | `net=C:O:drop[:CLASS]`       | `net=0:2:drop`             | frame `O` on connection `C` is discarded |
+//! | `net=C:O:delay:MS[:CLASS]`   | `net=1:0:delay:250`        | the frame is delayed `MS` ms (capped at 10 000) |
+//! | `net=C:O:trunc:N[:CLASS]`    | `net=1:3:trunc:7:fatal`    | only the first `N` bytes are delivered |
+//! | `net=C:O:garble:N:X[:CLASS]` | `net=2:1:garble:5:255`     | byte `N` (mod frame length) is XORed with `X` (not 0) |
+//! | `proc=S:A:die[:AFTER]`       | `proc=2:0:die:3`           | worker `(S, A)` exits 86 after `AFTER` journaled cells |
+//! | `proc=S:A:hang[:AFTER]`      | `proc=1:0:hang:2`          | the worker wedges until killed |
+//! | `proc=S:A:torn[:AFTER]`      | `proc=3:1:torn`            | the worker tears its journal, then exits 86 |
+//! | `proc=S:A:garbage[:AFTER]`   | `proc=4:0:garbage`         | the worker prints garbage and exits 0 unfinished |
 //!
-//! `CLASS` is `transient` (fires on attempt 0 only — a retry succeeds),
-//! `poison` (fires on every attempt), or `fatal`.
+//! `CLASS` is `transient` (a cell panic fires on attempt 0 only, so a retry
+//! succeeds), `poison` (fires on every attempt), or `fatal`. Net faults are
+//! `transient` unless the optional trailing `CLASS` overrides it. `S` is the
+//! 1-based shard number of `--shard S/N` (an unsharded run is shard 1), `A`
+//! the 0-based attempt, and `AFTER` (≥ 1) defaults to 1. A process arms at
+//! most one process fault: the first `proc=` or `exit-after=` entry that
+//! matches its `(shard, attempt)`.
+//!
+//! Each binary accepts only the keys whose sites it reaches
+//! ([`FaultPlan::accept_only`]), so a plan never parses and then silently
+//! does nothing.
+//!
+//! ```
+//! use sim_support::FaultPlan;
+//!
+//! // Every example row of the table above parses, alone and all together.
+//! let source = include_str!(concat!(env!("CARGO_MANIFEST_DIR"), "/src/fault.rs"));
+//! let examples: Vec<&str> = source
+//!     .lines()
+//!     .filter_map(|line| line.strip_prefix("//! | `"))
+//!     .map(|row| row.split('|').nth(1).unwrap().trim().trim_matches('`'))
+//!     .collect();
+//! assert_eq!(examples.len(), 13);
+//! for example in &examples {
+//!     FaultPlan::parse(example).unwrap_or_else(|e| panic!("{example}: {e}"));
+//! }
+//! FaultPlan::parse(&examples.join(",")).unwrap();
+//! ```
 
 use std::io;
 use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::path::PathBuf;
 
 use crate::rng::{SimRng, SplitMix64};
 
-/// Exit code used by [`FaultPlan::crash_checkpoint`] when an `exit-after` fault fires —
+/// Exit code of a fired `die` (or `exit-after`) process fault —
 /// distinguishable from ordinary failures in `scripts/ci.sh`.
 pub const CRASH_EXIT_CODE: i32 = 86;
 
@@ -197,133 +235,282 @@ pub fn isolated<T>(max_retries: u32, mut f: impl FnMut(u32) -> T) -> Isolated<T>
     }
 }
 
-/// One explicitly targeted cell fault.
-#[derive(Clone, Debug, PartialEq, Eq)]
-struct CellPoint {
-    figure: String,
-    index: usize,
-    class: FaultClass,
+/// Where a planned fault fires: the typed site half of a plan entry.
+#[derive(Clone, Debug, PartialEq)]
+enum Site {
+    /// Grid cell `(figure, index)` — `panic=`.
+    Cell { figure: String, index: usize },
+    /// Any grid cell whose seeded draw is below the rate — `panic-rate=`.
+    CellRate(f64),
+    /// Writes to paths containing the pattern — `io=`.
+    Write(String),
+    /// Frame `op` on client connection `conn` — `net=`.
+    Conn { conn: u64, op: u64 },
+    /// Sweep worker `shard` (1-based) on attempt `attempt` — `proc=`.
+    Shard { shard: u64, attempt: u32 },
+    /// Every process — `exit-after=`.
+    AnyProcess,
 }
 
-/// A deterministic fault-injection plan. See the [module docs](self) for
-/// the spec grammar. All injection decisions are pure functions of the plan
-/// and the fault site, never of scheduling or wall-clock.
+impl Site {
+    /// The spec key that addresses this site.
+    fn key(&self) -> &'static str {
+        match self {
+            Site::Cell { .. } => "panic",
+            Site::CellRate(_) => "panic-rate",
+            Site::Write(_) => "io",
+            Site::Conn { .. } => "net",
+            Site::Shard { .. } => "proc",
+            Site::AnyProcess => "exit-after",
+        }
+    }
+}
+
+/// What happens at a [`Site`].
+#[derive(Clone, Debug, PartialEq)]
+enum Fault {
+    /// The cell panics with this class.
+    Panic(FaultClass),
+    /// The first `K` attempts per matching path fail transiently.
+    Io(u32),
+    /// The frame is injured on the wire.
+    Net(NetFault),
+    /// The process dies, wedges, tears its journal or lies.
+    Proc(ProcFault),
+}
+
+/// A deterministic fault-injection plan: a seed plus `(site, fault)`
+/// entries in spec order. See the [module docs](self) for the spec
+/// grammar. All injection decisions are pure functions of the plan and the
+/// fault site, never of scheduling or wall-clock.
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct FaultPlan {
-    seed: u64,
-    cell_points: Vec<CellPoint>,
-    panic_rate: Option<(f64, FaultClass)>,
-    io_pattern: Option<(String, u32)>,
-    exit_after: Option<u64>,
+    seed: Option<u64>,
+    entries: Vec<(Site, Fault)>,
+}
+
+/// Upper bound accepted for `net` delay entries: fault plans must never
+/// make a test hang for minutes on a typo.
+const MAX_NET_DELAY_MS: u64 = 10_000;
+
+/// The `:`-separated fields of one `key=value` entry.
+struct Fields<'a> {
+    entry: &'a str,
+    parts: Vec<&'a str>,
+}
+
+impl Fields<'_> {
+    fn err(&self, why: impl std::fmt::Display) -> String {
+        format!("fault-plan entry {:?}: {why}", self.entry)
+    }
+
+    /// Field `i`, parsed; `what` names it in the error.
+    fn get<T: std::str::FromStr>(&self, i: usize, what: &str) -> Result<T, String> {
+        let missing = || self.err(format!("missing {what}"));
+        let raw = self.parts.get(i).ok_or_else(missing)?;
+        raw.parse()
+            .map_err(|_| self.err(format!("bad {what} {raw:?}")))
+    }
+
+    fn class(&self, i: usize) -> Result<FaultClass, String> {
+        FaultClass::parse(&self.get::<String>(i, "class")?)
+    }
 }
 
 impl FaultPlan {
-    /// Parses a `--fault-plan` spec string.
+    /// Parses a `--fault-plan` spec string. An empty spec is an empty plan.
     pub fn parse(spec: &str) -> Result<Self, String> {
         let mut plan = FaultPlan::default();
-        for entry in spec.split(',').filter(|e| !e.trim().is_empty()) {
+        for entry in spec.split(',').map(str::trim).filter(|e| !e.is_empty()) {
             let (key, value) = entry
                 .split_once('=')
                 .ok_or_else(|| format!("fault-plan entry {entry:?} is not key=value"))?;
-            match key.trim() {
-                "seed" => {
-                    plan.seed = value
-                        .trim()
-                        .parse()
-                        .map_err(|_| format!("bad seed {value:?}"))?;
-                }
+            let key = key.trim();
+            if key == "seed" {
+                let seed = value.trim().parse();
+                plan.seed =
+                    Some(seed.map_err(|_| format!("fault-plan entry {entry:?}: bad seed"))?);
+                continue;
+            }
+            let f = Fields {
+                entry,
+                parts: value.trim().split(':').collect(),
+            };
+            // Each arm yields the entry and how many fields it may use.
+            let (site, fault, used) = match key {
                 "panic" => {
-                    let mut parts = value.splitn(3, ':');
-                    let figure = parts.next().unwrap_or("").to_owned();
-                    let index: usize = parts
-                        .next()
-                        .ok_or_else(|| format!("panic={value:?}: missing cell index"))?
-                        .parse()
-                        .map_err(|_| format!("panic={value:?}: bad cell index"))?;
-                    let class = FaultClass::parse(
-                        parts
-                            .next()
-                            .ok_or_else(|| format!("panic={value:?}: missing class"))?,
-                    )?;
+                    let figure: String = f.get(0, "figure id")?;
                     if figure.is_empty() {
-                        return Err(format!("panic={value:?}: missing figure id"));
+                        return Err(f.err("missing figure id"));
                     }
-                    plan.cell_points.push(CellPoint {
-                        figure,
-                        index,
-                        class,
-                    });
+                    let index = f.get(1, "cell index")?;
+                    let site = Site::Cell { figure, index };
+                    (site, Fault::Panic(f.class(2)?), 3)
                 }
                 "panic-rate" => {
-                    let (p, class) = value
-                        .split_once(':')
-                        .ok_or_else(|| format!("panic-rate={value:?}: want P:CLASS"))?;
-                    let p: f64 = p
-                        .parse()
-                        .map_err(|_| format!("panic-rate={value:?}: bad probability"))?;
+                    let p: f64 = f.get(0, "probability")?;
                     if !(0.0..=1.0).contains(&p) {
-                        return Err(format!("panic-rate={p}: probability outside [0, 1]"));
+                        return Err(f.err(format!("probability {p} outside [0, 1]")));
                     }
-                    plan.panic_rate = Some((p, FaultClass::parse(class)?));
+                    (Site::CellRate(p), Fault::Panic(f.class(1)?), 2)
                 }
                 "io" => {
-                    let (pattern, k) = value
-                        .split_once(':')
-                        .ok_or_else(|| format!("io={value:?}: want PATTERN:K"))?;
-                    let k: u32 = k
-                        .parse()
-                        .map_err(|_| format!("io={value:?}: bad failure count"))?;
-                    plan.io_pattern = Some((pattern.to_owned(), k));
+                    let site = Site::Write(f.get(0, "path pattern")?);
+                    (site, Fault::Io(f.get(1, "failure count")?), 2)
                 }
                 "exit-after" => {
-                    plan.exit_after = Some(
-                        value
-                            .trim()
-                            .parse()
-                            .map_err(|_| format!("bad exit-after {value:?}"))?,
-                    );
+                    let fault = ProcFault {
+                        kind: ProcFaultKind::Die,
+                        after_cells: f.get(0, "cell count")?,
+                    };
+                    (Site::AnyProcess, Fault::Proc(fault), 1)
+                }
+                "net" => {
+                    let site = Site::Conn {
+                        conn: f.get(0, "connection id")?,
+                        op: f.get(1, "operation index")?,
+                    };
+                    let (kind, n) = match f.get::<String>(2, "kind")?.as_str() {
+                        "drop" => (NetFaultKind::Drop, 3),
+                        "delay" => {
+                            let ms = f.get(3, "delay")?;
+                            if ms > MAX_NET_DELAY_MS {
+                                return Err(f.err(format!(
+                                    "delay {ms} ms exceeds the {MAX_NET_DELAY_MS} ms cap"
+                                )));
+                            }
+                            (NetFaultKind::Delay { ms }, 4)
+                        }
+                        "trunc" => {
+                            let offset = f.get(3, "truncate offset")?;
+                            (NetFaultKind::Truncate { offset }, 4)
+                        }
+                        "garble" => {
+                            let offset = f.get(3, "garble offset")?;
+                            let xor = f.get(4, "garble mask")?;
+                            if xor == 0 {
+                                return Err(f.err("garble mask 0 is a no-op"));
+                            }
+                            (NetFaultKind::Garble { offset, xor }, 5)
+                        }
+                        other => return Err(f.err(format!("unknown net fault kind {other:?}"))),
+                    };
+                    let class = if f.parts.len() > n {
+                        f.class(n)?
+                    } else {
+                        kind.class()
+                    };
+                    (site, Fault::Net(NetFault { kind, class }), n + 1)
+                }
+                "proc" => {
+                    let shard = f.get(0, "shard number")?;
+                    if shard == 0 {
+                        return Err(f.err("shards are 1-based (as in --shard i/N)"));
+                    }
+                    let site = Site::Shard {
+                        shard,
+                        attempt: f.get(1, "attempt index")?,
+                    };
+                    let kind = match f.get::<String>(2, "kind")?.as_str() {
+                        "die" => ProcFaultKind::Die,
+                        "hang" => ProcFaultKind::Hang,
+                        "torn" => ProcFaultKind::TornJournal,
+                        "garbage" => ProcFaultKind::GarbageStdout,
+                        other => return Err(f.err(format!("unknown proc fault kind {other:?}"))),
+                    };
+                    let after_cells = if f.parts.len() > 3 {
+                        f.get(3, "cell count")?
+                    } else {
+                        1
+                    };
+                    if after_cells == 0 {
+                        return Err(f.err("AFTER must be >= 1"));
+                    }
+                    let fault = ProcFault { kind, after_cells };
+                    (site, Fault::Proc(fault), 4)
                 }
                 other => return Err(format!("unknown fault-plan key {other:?}")),
+            };
+            if f.parts.len() > used {
+                return Err(f.err("trailing fields"));
             }
+            plan.entries.push((site, fault));
         }
         Ok(plan)
+    }
+
+    /// Rejects the plan if it uses a key outside `keys`. Each binary passes
+    /// the keys whose sites it reaches, so an entry that could never fire
+    /// is a usage error instead of a silent no-op.
+    pub fn accept_only(self, keys: &[&str]) -> Result<Self, String> {
+        let seed = self.seed.map(|_| "seed");
+        let used = seed
+            .into_iter()
+            .chain(self.entries.iter().map(|(site, _)| site.key()));
+        for key in used {
+            if !keys.contains(&key) {
+                return Err(format!(
+                    "fault-plan key {key}= has no fault site in this binary (accepted: {})",
+                    keys.join(", ")
+                ));
+            }
+        }
+        Ok(self)
+    }
+
+    /// The first entry whose site satisfies `at`: the one lookup behind
+    /// every fault site.
+    fn find(&self, at: impl Fn(&Site) -> bool) -> Option<&(Site, Fault)> {
+        self.entries.iter().find(|(site, _)| at(site))
     }
 
     /// The fault class planned for cell `(figure, index)`, if any — a pure
     /// function of the plan and the site.
     pub fn cell_fault(&self, figure: &str, index: usize) -> Option<FaultClass> {
-        if let Some(point) = self
-            .cell_points
-            .iter()
-            .find(|p| p.figure == figure && p.index == index)
-        {
-            return Some(point.class);
-        }
-        if let Some((p, class)) = self.panic_rate {
-            let site = self.seed ^ fnv1a(figure.as_bytes()) ^ (index as u64).wrapping_mul(0x9e37);
-            let draw = SplitMix64::new(site).next_u64();
-            // 53-bit mantissa draw in [0, 1).
-            if ((draw >> 11) as f64) / ((1u64 << 53) as f64) < p {
-                return Some(class);
-            }
-        }
-        None
-    }
-
-    /// Crash checkpoint: once `done` journaled units (grid cells, `hintd`
-    /// batches) reach the plan's `exit-after` threshold, exits the process
-    /// with [`CRASH_EXIT_CODE`] — a mid-run crash for the resume tests.
-    pub fn crash_checkpoint(&self, done: u64) {
-        if self.exit_after.is_some_and(|limit| done >= limit) {
-            eprintln!("fault plan: simulated crash after {done} journaled cells");
-            std::process::exit(CRASH_EXIT_CODE);
+        let exact = |site: &Site| matches!(site, Site::Cell { figure: f, index: i } if f == figure && *i == index);
+        let drawn =
+            |site: &Site| matches!(site, Site::CellRate(p) if self.cell_draw(figure, index) < *p);
+        match self.find(exact).or_else(|| self.find(drawn))? {
+            (_, Fault::Panic(class)) => Some(*class),
+            _ => None,
         }
     }
 
-    /// The plan's `io=PATTERN:K` entry, with fresh attempt counters.
+    /// The cell's seeded draw in [0, 1) for `panic-rate` (53-bit mantissa).
+    fn cell_draw(&self, figure: &str, index: usize) -> f64 {
+        let site =
+            self.seed.unwrap_or(0) ^ fnv1a(figure.as_bytes()) ^ (index as u64).wrapping_mul(0x9e37);
+        let draw = SplitMix64::new(site).next_u64();
+        ((draw >> 11) as f64) / ((1u64 << 53) as f64)
+    }
+
+    /// The wire fault planned for operation `op` on connection `conn`.
+    pub fn net_fault(&self, conn: u64, op: u64) -> Option<NetFault> {
+        match self.find(|site| *site == Site::Conn { conn, op })? {
+            (_, Fault::Net(fault)) => Some(*fault),
+            _ => None,
+        }
+    }
+
+    /// The process fault for worker `(shard, attempt)`: the first `proc=`
+    /// entry for those coordinates or `exit-after=` entry.
+    pub fn proc_fault(&self, shard: u64, attempt: u32) -> Option<ProcFault> {
+        let here =
+            |site: &Site| *site == Site::AnyProcess || *site == Site::Shard { shard, attempt };
+        match self.find(here)? {
+            (_, Fault::Proc(fault)) => Some(fault.clone()),
+            _ => None,
+        }
+    }
+
+    /// The plan's first `io=PATTERN:K` entry, with fresh attempt counters.
     pub fn io_faults(&self) -> IoFaults {
+        let pattern = match self.find(|site| matches!(site, Site::Write(_))) {
+            Some((Site::Write(pattern), Fault::Io(k))) => Some((pattern.clone(), *k)),
+            _ => None,
+        };
         IoFaults {
-            pattern: self.io_pattern.clone(),
+            pattern,
             attempts: Vec::new(),
         }
     }
@@ -369,8 +556,8 @@ impl IoFaults {
 
 /// One run's fault-injection state: the plan, its injected-I/O counters,
 /// the journaled-cell crash countdown and the armed process fault. The
-/// binary that parsed `--fault-plan` / `--proc-fault` builds it; the
-/// default state injects nothing.
+/// binary that parsed `--fault-plan` builds it; the default state injects
+/// nothing.
 #[derive(Debug, Default)]
 pub struct FaultState {
     plan: FaultPlan,
@@ -381,24 +568,27 @@ pub struct FaultState {
 }
 
 impl FaultState {
-    /// Fresh state for `plan`: no cells completed, no process fault armed.
+    /// Fresh state for an unsharded run of `plan` (shard 1, attempt 0,
+    /// no journal to tear).
     pub fn new(plan: FaultPlan) -> Self {
+        Self::for_worker(plan, 1, 0, None)
+    }
+
+    /// Fresh state for sweep worker `(shard, attempt)`: arms the plan's
+    /// [`FaultPlan::proc_fault`] for those coordinates, which fires inside
+    /// [`cell_completed`](Self::cell_completed). `journal` is what the
+    /// torn-journal kind tears.
+    pub fn for_worker(plan: FaultPlan, shard: u64, attempt: u32, journal: Option<PathBuf>) -> Self {
+        let proc_fault = plan.proc_fault(shard, attempt).map(|fault| ArmedProcFault {
+            fault,
+            journal_path: journal,
+        });
         Self {
             io: plan.io_faults(),
             plan,
-            ..Self::default()
+            cells_completed: 0,
+            proc_fault,
         }
-    }
-
-    /// Arms `fault`; it fires inside [`cell_completed`](Self::cell_completed)
-    /// once the journaled-cell count reaches `fault.after_cells`.
-    /// `journal_path` is required by the torn-journal kind (it must tear the
-    /// real journal).
-    pub fn arm_proc_fault(&mut self, fault: ProcFault, journal_path: Option<std::path::PathBuf>) {
-        self.proc_fault = Some(ArmedProcFault {
-            fault,
-            journal_path,
-        });
     }
 
     /// Injection checkpoint at the start of a cell attempt. Panics with a
@@ -418,14 +608,13 @@ impl FaultState {
         }
     }
 
-    /// Crash checkpoint: counts journaled cells and, when the plan's
-    /// `exit-after` threshold (or the armed [`ProcFault`]) is reached,
-    /// performs the planned process-level failure — a mid-run crash for the
-    /// resume tests and the shard-supervisor battery.
+    /// Crash checkpoint: counts journaled cells (or `hintd` batches) and,
+    /// when the armed [`ProcFault`] is due, performs it — a mid-run crash
+    /// for the resume tests, the shard-supervisor battery and the `hintd`
+    /// recovery tests.
     pub fn cell_completed(&mut self) {
         self.cells_completed += 1;
         let done = self.cells_completed;
-        self.plan.crash_checkpoint(done);
         let due = |armed: &mut ArmedProcFault| done >= armed.fault.after_cells;
         if let Some(armed) = self.proc_fault.take_if(due) {
             armed.fire(done);
@@ -592,122 +781,6 @@ pub struct NetFault {
     pub class: FaultClass,
 }
 
-/// A deterministic network fault plan: a set of [`NetFault`]s addressed by
-/// `(connection id, operation index)`. Like [`FaultPlan`], every decision
-/// is a pure function of the plan and the site, so a faulty exchange is
-/// exactly replayable.
-///
-/// # Spec grammar
-///
-/// Comma-separated entries `CONN:OP:KIND[:ARGS][:CLASS]`:
-///
-/// | entry | meaning |
-/// |-------|---------|
-/// | `C:O:drop`          | frame `O` on connection `C` is discarded |
-/// | `C:O:delay:MS`      | frame delayed `MS` ms (capped at 10 000) |
-/// | `C:O:trunc:N`       | only the first `N` bytes are delivered |
-/// | `C:O:garble:N:X`    | byte `N` (mod frame len) XORed with `X` |
-///
-/// `CLASS` (`transient`/`poison`/`fatal`) optionally overrides the default
-/// transient classification, e.g. `0:1:drop:poison`.
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
-pub struct NetFaultPlan {
-    entries: Vec<(u64, u64, NetFault)>,
-}
-
-/// Upper bound accepted for `delay` entries: fault plans must never make a
-/// test hang for minutes on a typo.
-const MAX_NET_DELAY_MS: u64 = 10_000;
-
-impl NetFaultPlan {
-    /// Parses the spec grammar above. An empty spec is an empty plan.
-    pub fn parse(spec: &str) -> Result<Self, String> {
-        let mut plan = NetFaultPlan::default();
-        for entry in spec.split(',').filter(|e| !e.trim().is_empty()) {
-            let parts: Vec<&str> = entry.trim().split(':').collect();
-            if parts.len() < 3 {
-                return Err(format!("net-fault entry {entry:?} wants CONN:OP:KIND"));
-            }
-            let conn: u64 = parts[0]
-                .parse()
-                .map_err(|_| format!("net-fault {entry:?}: bad connection id"))?;
-            let op: u64 = parts[1]
-                .parse()
-                .map_err(|_| format!("net-fault {entry:?}: bad operation index"))?;
-            let (kind, consumed) = match parts[2] {
-                "drop" => (NetFaultKind::Drop, 3),
-                "delay" => {
-                    let ms: u64 = parts
-                        .get(3)
-                        .ok_or_else(|| format!("net-fault {entry:?}: delay wants :MS"))?
-                        .parse()
-                        .map_err(|_| format!("net-fault {entry:?}: bad delay"))?;
-                    if ms > MAX_NET_DELAY_MS {
-                        return Err(format!(
-                            "net-fault {entry:?}: delay {ms} ms exceeds the {MAX_NET_DELAY_MS} ms cap"
-                        ));
-                    }
-                    (NetFaultKind::Delay { ms }, 4)
-                }
-                "trunc" => {
-                    let offset: usize = parts
-                        .get(3)
-                        .ok_or_else(|| format!("net-fault {entry:?}: trunc wants :N"))?
-                        .parse()
-                        .map_err(|_| format!("net-fault {entry:?}: bad truncate offset"))?;
-                    (NetFaultKind::Truncate { offset }, 4)
-                }
-                "garble" => {
-                    let offset: usize = parts
-                        .get(3)
-                        .ok_or_else(|| format!("net-fault {entry:?}: garble wants :N:X"))?
-                        .parse()
-                        .map_err(|_| format!("net-fault {entry:?}: bad garble offset"))?;
-                    let xor: u8 = parts
-                        .get(4)
-                        .ok_or_else(|| format!("net-fault {entry:?}: garble wants :N:X"))?
-                        .parse()
-                        .map_err(|_| format!("net-fault {entry:?}: bad garble mask"))?;
-                    if xor == 0 {
-                        return Err(format!("net-fault {entry:?}: garble mask 0 is a no-op"));
-                    }
-                    (NetFaultKind::Garble { offset, xor }, 5)
-                }
-                other => return Err(format!("unknown net-fault kind {other:?}")),
-            };
-            let class = match parts.get(consumed) {
-                Some(name) => FaultClass::parse(name)?,
-                None => kind.class(),
-            };
-            if parts.len() > consumed + 1 {
-                return Err(format!("net-fault {entry:?}: trailing fields"));
-            }
-            plan.entries.push((conn, op, NetFault { kind, class }));
-        }
-        Ok(plan)
-    }
-
-    /// The fault planned for operation `op` on connection `conn`, if any —
-    /// a pure function of the plan and the site. The first matching entry
-    /// wins, mirroring `FaultPlan::cell_fault`.
-    pub fn fault_at(&self, conn: u64, op: u64) -> Option<NetFault> {
-        self.entries
-            .iter()
-            .find(|(c, o, _)| *c == conn && *o == op)
-            .map(|(_, _, fault)| *fault)
-    }
-
-    /// Whether the plan has no entries.
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
-    }
-
-    /// Number of planned faults.
-    pub fn len(&self) -> usize {
-        self.entries.len()
-    }
-}
-
 /// A process-level fault: how a sharded-sweep worker process dies (or
 /// misbehaves) once it has journaled `after_cells` grid cells. Unlike the
 /// in-process [`FaultPlan`] checkpoints — which panic *inside* a cell and
@@ -745,112 +818,23 @@ impl ProcFaultKind {
     }
 }
 
-/// One planned process-level fault, armed inside a sweep worker.
+/// One planned process-level fault, armed inside a grid run, a sweep
+/// worker or `hintd`.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct ProcFault {
     /// What the worker does at the trigger point.
     pub kind: ProcFaultKind,
-    /// Grid cells journaled before the fault fires (≥ 1).
+    /// Grid cells (or `hintd` batches) journaled before the fault fires.
     pub after_cells: u64,
-}
-
-/// A deterministic process-fault plan for sharded sweeps, keyed by
-/// `(shard, attempt)` so every failure mode is exactly reproducible: the
-/// supervisor forwards the spec to each worker, and the worker arms only
-/// the entry addressed to its own coordinates. A restart (next attempt)
-/// therefore sees a *different* key — typically clean, letting the sweep
-/// converge; listing every attempt simulates a poison shard.
-///
-/// # Spec grammar
-///
-/// Comma-separated entries `SHARD:ATTEMPT:KIND[:AFTER]` (`SHARD` is the
-/// 1-based shard number shown in `--shard i/N`; `AFTER` defaults to 1):
-///
-/// | entry | meaning |
-/// |-------|---------|
-/// | `2:0:die:3`   | shard 2's first attempt exits after 3 journaled cells |
-/// | `1:0:hang:2`  | shard 1's first attempt wedges after 2 cells |
-/// | `3:1:torn`    | shard 3's first *restart* tears its journal and dies |
-/// | `4:0:garbage` | shard 4 prints garbage and exits 0 without finishing |
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
-pub struct ProcFaultPlan {
-    entries: Vec<(u64, u32, ProcFault)>,
-}
-
-impl ProcFaultPlan {
-    /// Parses the spec grammar above. An empty spec is an empty plan.
-    pub fn parse(spec: &str) -> Result<Self, String> {
-        let mut plan = ProcFaultPlan::default();
-        for entry in spec.split(',').filter(|e| !e.trim().is_empty()) {
-            let parts: Vec<&str> = entry.trim().split(':').collect();
-            if parts.len() < 3 {
-                return Err(format!(
-                    "proc-fault entry {entry:?} wants SHARD:ATTEMPT:KIND[:AFTER]"
-                ));
-            }
-            let shard: u64 = parts[0]
-                .parse()
-                .map_err(|_| format!("proc-fault {entry:?}: bad shard number"))?;
-            if shard == 0 {
-                return Err(format!(
-                    "proc-fault {entry:?}: shards are 1-based (as in --shard i/N)"
-                ));
-            }
-            let attempt: u32 = parts[1]
-                .parse()
-                .map_err(|_| format!("proc-fault {entry:?}: bad attempt index"))?;
-            let kind = match parts[2] {
-                "die" => ProcFaultKind::Die,
-                "hang" => ProcFaultKind::Hang,
-                "torn" => ProcFaultKind::TornJournal,
-                "garbage" => ProcFaultKind::GarbageStdout,
-                other => return Err(format!("unknown proc-fault kind {other:?}")),
-            };
-            let after_cells = match parts.get(3) {
-                Some(n) => n
-                    .parse()
-                    .map_err(|_| format!("proc-fault {entry:?}: bad cell count"))?,
-                None => 1,
-            };
-            if after_cells == 0 {
-                return Err(format!("proc-fault {entry:?}: AFTER must be >= 1"));
-            }
-            if parts.len() > 4 {
-                return Err(format!("proc-fault {entry:?}: trailing fields"));
-            }
-            plan.entries
-                .push((shard, attempt, ProcFault { kind, after_cells }));
-        }
-        Ok(plan)
-    }
-
-    /// The fault planned for `(shard, attempt)`, if any — a pure function
-    /// of the plan and the coordinates; the first matching entry wins.
-    pub fn fault_for(&self, shard: u64, attempt: u32) -> Option<ProcFault> {
-        self.entries
-            .iter()
-            .find(|(s, a, _)| *s == shard && *a == attempt)
-            .map(|(_, _, fault)| fault.clone())
-    }
-
-    /// Whether the plan has no entries.
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
-    }
-
-    /// Number of planned faults.
-    pub fn len(&self) -> usize {
-        self.entries.len()
-    }
 }
 
 /// An armed process fault plus the journal path [`ProcFaultKind::TornJournal`]
 /// tears. At most one fault is armed per run (one worker = one shard
-/// attempt = one plan entry).
+/// attempt = one plan entry, `exit-after=` included).
 #[derive(Debug)]
 struct ArmedProcFault {
     fault: ProcFault,
-    journal_path: Option<std::path::PathBuf>,
+    journal_path: Option<PathBuf>,
 }
 
 impl ArmedProcFault {
@@ -966,19 +950,43 @@ mod tests {
         let plan =
             FaultPlan::parse("seed=7,panic=fig01:2:poison,panic=fig09:0:transient,io=stats:2")
                 .unwrap();
-        assert_eq!(plan.seed, 7);
+        assert_eq!(plan.seed, Some(7));
         assert_eq!(plan.cell_fault("fig01", 2), Some(FaultClass::Poison));
         assert_eq!(plan.cell_fault("fig09", 0), Some(FaultClass::Transient));
         assert_eq!(plan.cell_fault("fig01", 1), None);
-        assert_eq!(plan.io_pattern, Some(("stats".to_owned(), 2)));
+        assert_eq!(plan.io_faults().pattern, Some(("stats".to_owned(), 2)));
 
         let with_exit = FaultPlan::parse("exit-after=5").unwrap();
-        assert_eq!(with_exit.exit_after, Some(5));
+        let die = with_exit
+            .proc_fault(3, 2)
+            .expect("exit-after matches every process");
+        assert_eq!((die.kind, die.after_cells), (ProcFaultKind::Die, 5));
 
         assert!(FaultPlan::parse("panic=fig01:x:poison").is_err());
         assert!(FaultPlan::parse("panic-rate=1.5:poison").is_err());
         assert!(FaultPlan::parse("frobnicate=1").is_err());
-        assert!(FaultPlan::parse("").unwrap().cell_points.is_empty());
+        assert!(FaultPlan::parse("seed=x").is_err());
+        assert!(FaultPlan::parse("").unwrap().entries.is_empty());
+    }
+
+    #[test]
+    fn plan_keys_are_checked_per_binary() {
+        let fits = |spec: &str, keys: &[&str]| {
+            let plan = FaultPlan::parse(spec).unwrap();
+            plan.accept_only(keys).is_ok()
+        };
+        let hintd = ["io", "exit-after"];
+        assert!(fits("io=journal:1,exit-after=3", &hintd));
+        for spec in [
+            "seed=1",
+            "panic=f:1:poison",
+            "panic-rate=0.1:poison",
+            "net=0:0:drop",
+        ] {
+            assert!(!fits(spec, &hintd), "hintd must reject {spec}");
+        }
+        assert!(fits("net=0:0:drop", &["net"]) && !fits("proc=1:0:die", &["net"]));
+        assert!(fits("", &[]), "an empty plan fits every binary");
     }
 
     #[test]
@@ -993,6 +1001,10 @@ mod tests {
         let other: Vec<Option<FaultClass>> =
             (0..64).map(|i| other_seed.cell_fault("figX", i)).collect();
         assert_ne!(draws, other, "seed must matter");
+        // An exact cell beats the rate, wherever it sits in the spec.
+        let both = FaultPlan::parse("panic-rate=1:poison,panic=figX:0:transient").unwrap();
+        assert_eq!(both.cell_fault("figX", 0), Some(FaultClass::Transient));
+        assert_eq!(both.cell_fault("figX", 1), Some(FaultClass::Poison));
     }
 
     #[test]
@@ -1039,84 +1051,93 @@ mod tests {
 
     #[test]
     fn net_fault_plan_round_trips_the_grammar() {
-        let plan = NetFaultPlan::parse("0:2:drop,1:0:delay:250,1:3:trunc:7,2:1:garble:5:255")
-            .expect("valid spec");
-        assert_eq!(plan.len(), 4);
+        let plan =
+            FaultPlan::parse("net=0:2:drop,net=1:0:delay:250,net=1:3:trunc:7,net=2:1:garble:5:255")
+                .expect("valid spec");
+        assert_eq!(plan.entries.len(), 4);
         assert_eq!(
-            plan.fault_at(0, 2),
+            plan.net_fault(0, 2),
             Some(NetFault {
                 kind: NetFaultKind::Drop,
                 class: FaultClass::Transient,
             })
         );
         assert_eq!(
-            plan.fault_at(1, 0).map(|f| f.kind),
+            plan.net_fault(1, 0).map(|f| f.kind),
             Some(NetFaultKind::Delay { ms: 250 })
         );
         assert_eq!(
-            plan.fault_at(1, 3).map(|f| f.kind),
+            plan.net_fault(1, 3).map(|f| f.kind),
             Some(NetFaultKind::Truncate { offset: 7 })
         );
         assert_eq!(
-            plan.fault_at(2, 1).map(|f| f.kind),
+            plan.net_fault(2, 1).map(|f| f.kind),
             Some(NetFaultKind::Garble {
                 offset: 5,
                 xor: 255
             })
         );
-        assert_eq!(plan.fault_at(0, 0), None, "unplanned site is clean");
-        assert!(NetFaultPlan::parse("").unwrap().is_empty());
+        assert_eq!(plan.net_fault(0, 0), None, "unplanned site is clean");
 
-        assert!(NetFaultPlan::parse("0:drop").is_err(), "missing op");
-        assert!(NetFaultPlan::parse("0:0:warp").is_err(), "unknown kind");
-        assert!(NetFaultPlan::parse("0:0:delay").is_err(), "delay wants ms");
+        assert!(FaultPlan::parse("net=0:drop").is_err(), "missing op");
+        assert!(FaultPlan::parse("net=0:0:warp").is_err(), "unknown kind");
+        assert!(FaultPlan::parse("net=0:0:delay").is_err(), "delay wants ms");
         assert!(
-            NetFaultPlan::parse("0:0:delay:99999").is_err(),
+            FaultPlan::parse("net=0:0:delay:99999").is_err(),
             "delay cap enforced"
         );
         assert!(
-            NetFaultPlan::parse("0:0:garble:1:0").is_err(),
+            FaultPlan::parse("net=0:0:garble:1:0").is_err(),
             "no-op garble rejected"
         );
         assert!(
-            NetFaultPlan::parse("0:0:drop:poison:x").is_err(),
+            FaultPlan::parse("net=0:0:drop:poison:x").is_err(),
             "trailing fields rejected"
         );
     }
 
     #[test]
     fn net_fault_class_defaults_transient_and_overrides_parse() {
-        for spec in ["7:0:drop", "7:0:delay:1", "7:0:trunc:0", "7:0:garble:0:1"] {
-            let plan = NetFaultPlan::parse(spec).unwrap();
+        for spec in [
+            "net=7:0:drop",
+            "net=7:0:delay:1",
+            "net=7:0:trunc:0",
+            "net=7:0:garble:0:1",
+        ] {
+            let plan = FaultPlan::parse(spec).unwrap();
             assert_eq!(
-                plan.fault_at(7, 0).unwrap().class,
+                plan.net_fault(7, 0).unwrap().class,
                 FaultClass::Transient,
                 "{spec}: wire faults default to transient"
             );
         }
-        let overridden = NetFaultPlan::parse("7:0:drop:poison,7:1:trunc:3:fatal").unwrap();
-        assert_eq!(overridden.fault_at(7, 0).unwrap().class, FaultClass::Poison);
-        assert_eq!(overridden.fault_at(7, 1).unwrap().class, FaultClass::Fatal);
+        let overridden = FaultPlan::parse("net=7:0:drop:poison,net=7:1:trunc:3:fatal").unwrap();
+        assert_eq!(
+            overridden.net_fault(7, 0).unwrap().class,
+            FaultClass::Poison
+        );
+        assert_eq!(overridden.net_fault(7, 1).unwrap().class, FaultClass::Fatal);
     }
 
     #[test]
     fn proc_fault_plan_round_trips_the_grammar() {
         let plan =
-            ProcFaultPlan::parse("2:0:die:3,1:0:hang:2,3:1:torn,4:0:garbage").expect("valid spec");
-        assert_eq!(plan.len(), 4);
+            FaultPlan::parse("proc=2:0:die:3,proc=1:0:hang:2,proc=3:1:torn,proc=4:0:garbage")
+                .expect("valid spec");
+        assert_eq!(plan.entries.len(), 4);
         assert_eq!(
-            plan.fault_for(2, 0),
+            plan.proc_fault(2, 0),
             Some(ProcFault {
                 kind: ProcFaultKind::Die,
                 after_cells: 3,
             })
         );
         assert_eq!(
-            plan.fault_for(1, 0).map(|f| f.kind),
+            plan.proc_fault(1, 0).map(|f| f.kind),
             Some(ProcFaultKind::Hang)
         );
         assert_eq!(
-            plan.fault_for(3, 1),
+            plan.proc_fault(3, 1),
             Some(ProcFault {
                 kind: ProcFaultKind::TornJournal,
                 after_cells: 1,
@@ -1124,49 +1145,53 @@ mod tests {
             "AFTER defaults to 1"
         );
         assert_eq!(
-            plan.fault_for(4, 0).map(|f| f.kind),
+            plan.proc_fault(4, 0).map(|f| f.kind),
             Some(ProcFaultKind::GarbageStdout)
         );
         // Keyed by (shard, attempt): a restart of shard 2 is clean.
-        assert_eq!(plan.fault_for(2, 1), None);
-        assert_eq!(plan.fault_for(5, 0), None, "unplanned shard is clean");
-        assert!(ProcFaultPlan::parse("").unwrap().is_empty());
+        assert_eq!(plan.proc_fault(2, 1), None);
+        assert_eq!(plan.proc_fault(5, 0), None, "unplanned shard is clean");
 
-        assert!(ProcFaultPlan::parse("1:die").is_err(), "missing attempt");
+        assert!(FaultPlan::parse("proc=1:die").is_err(), "missing attempt");
         assert!(
-            ProcFaultPlan::parse("0:0:die").is_err(),
+            FaultPlan::parse("proc=0:0:die").is_err(),
             "shards are 1-based"
         );
-        assert!(ProcFaultPlan::parse("1:0:explode").is_err(), "unknown kind");
-        assert!(ProcFaultPlan::parse("1:0:die:0").is_err(), "AFTER >= 1");
         assert!(
-            ProcFaultPlan::parse("1:0:die:1:x").is_err(),
+            FaultPlan::parse("proc=1:0:explode").is_err(),
+            "unknown kind"
+        );
+        assert!(FaultPlan::parse("proc=1:0:die:0").is_err(), "AFTER >= 1");
+        assert!(
+            FaultPlan::parse("proc=1:0:die:1:x").is_err(),
             "trailing fields rejected"
         );
     }
 
     #[test]
     fn proc_fault_lookup_is_deterministic_and_first_match_wins() {
-        let plan = ProcFaultPlan::parse("1:0:die:5,1:0:hang:9").unwrap();
-        let a = plan.fault_for(1, 0);
-        let b = plan.fault_for(1, 0);
+        let plan = FaultPlan::parse("proc=1:0:die:5,proc=1:0:hang:9").unwrap();
+        let a = plan.proc_fault(1, 0);
+        let b = plan.proc_fault(1, 0);
         assert_eq!(a, b, "same coordinates => same fault");
         assert_eq!(a.map(|f| f.kind), Some(ProcFaultKind::Die));
+        // `exit-after` competes in spec order with the keyed entries.
+        let mixed = FaultPlan::parse("proc=2:0:hang:1,exit-after=4").unwrap();
+        let kind = |shard, attempt| mixed.proc_fault(shard, attempt).map(|f| f.kind);
+        assert_eq!(kind(2, 0), Some(ProcFaultKind::Hang));
+        assert_eq!(kind(2, 1), Some(ProcFaultKind::Die));
     }
 
     #[test]
     fn arming_below_threshold_is_inert_and_disarm_clears() {
-        let mut faults = FaultState::default();
-        faults.arm_proc_fault(
-            ProcFault {
-                kind: ProcFaultKind::Die,
-                after_cells: u64::MAX,
-            },
-            None,
-        );
+        let never = format!("proc=1:0:die:{},exit-after=1", u64::MAX);
+        let mut faults = FaultState::new(FaultPlan::parse(&never).unwrap());
         // Threshold unreachable: the checkpoint must be a no-op.
         faults.cell_completed();
         faults.cell_completed();
+        // A fault keyed to another worker stays unarmed.
+        let plan = FaultPlan::parse("proc=2:0:die:1").unwrap();
+        FaultState::for_worker(plan, 1, 0, None).cell_completed();
         // A fresh state has nothing armed.
         FaultState::default().cell_completed();
     }

@@ -70,14 +70,18 @@ const BACKOFF_BASE_MS: u64 = 1;
 /// that a bounded retry loop stays test-friendly.
 const BACKOFF_CAP_MS: u64 = 1024;
 
-/// Deterministic exponential backoff schedule: `base << attempt`, capped.
-/// A pure function of the attempt number, so a retried operation's timing
-/// profile is replayable (and unit-testable without a clock).
+/// The workspace's one exponential backoff: `min(base << attempt, cap)`,
+/// overflow saturating to `cap`. A pure function, so retry timing is
+/// replayable (and unit-testable without a clock).
+pub fn capped_backoff_ms(base: u64, cap: u64, attempt: u32) -> u64 {
+    1u64.checked_shl(attempt)
+        .and_then(|factor| base.checked_mul(factor))
+        .map_or(cap, |delay| delay.min(cap))
+}
+
+/// The write-retry schedule: [`capped_backoff_ms`] from 1 ms up to ~1 s.
 pub fn backoff_delay_ms(attempt: u32) -> u64 {
-    BACKOFF_BASE_MS
-        .checked_shl(attempt)
-        .unwrap_or(BACKOFF_CAP_MS)
-        .min(BACKOFF_CAP_MS)
+    capped_backoff_ms(BACKOFF_BASE_MS, BACKOFF_CAP_MS, attempt)
 }
 
 /// [`write_atomic`] with a bounded retry loop for transient

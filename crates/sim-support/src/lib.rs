@@ -31,6 +31,8 @@
 //! * [`fsio`] — crash-safe results I/O: [`fsio::write_atomic`]
 //!   (temp-file + rename) and fsync'd journal appends, each taking the
 //!   caller's [`IoFaults`] injection point.
+//! * [`leb128`] — the varint encoder and strict decoder shared by the
+//!   trace codec and the `hintd` wire protocol.
 //!
 //! [SplitMix64]: https://prng.di.unimi.it/splitmix64.c
 //!
@@ -52,6 +54,7 @@ pub mod fault;
 pub mod forall;
 pub mod fsio;
 pub mod golden;
+pub mod leb128;
 pub mod pool;
 pub mod prefetch;
 pub mod rng;
@@ -60,7 +63,7 @@ pub use bench::{BenchHarness, BenchResult};
 pub use detmap::{DetHashMap, DetHashSet, DetState};
 pub use fault::{
     Corruption, FaultClass, FaultPlan, FaultState, IoFaults, Isolated, NetFault, NetFaultKind,
-    NetFaultPlan, ProcFault, ProcFaultKind, ProcFaultPlan, SimError,
+    ProcFault, ProcFaultKind, SimError,
 };
 pub use pool::{PoolStats, ThreadPool};
 pub use prefetch::prefetch_read;

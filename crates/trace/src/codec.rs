@@ -19,6 +19,8 @@
 
 use std::io::{self, Read, Write};
 
+use sim_support::leb128;
+
 use crate::{BranchKind, BranchRecord, Trace};
 
 const MAGIC: &[u8; 4] = b"BTBT";
@@ -91,33 +93,12 @@ impl From<io::Error> for CodecError {
     }
 }
 
-fn write_varint<W: Write>(w: &mut W, mut v: u64) -> io::Result<()> {
-    loop {
-        let byte = (v & 0x7f) as u8;
-        v >>= 7;
-        if v == 0 {
-            return w.write_all(&[byte]);
-        }
-        w.write_all(&[byte | 0x80])?;
-    }
-}
-
+/// Reads one varint; an overlong one is [`CodecError::Truncated`], the
+/// same error [`BatchReader`] reports.
 fn read_varint<R: Read>(r: &mut R) -> Result<u64, CodecError> {
-    let mut v = 0u64;
-    let mut shift = 0u32;
-    loop {
-        let mut byte = [0u8; 1];
-        r.read_exact(&mut byte)?;
-        let b = byte[0];
-        if shift >= 64 {
-            return Err(CodecError::Truncated);
-        }
-        v |= u64::from(b & 0x7f) << shift;
-        if b & 0x80 == 0 {
-            return Ok(v);
-        }
-        shift += 7;
-    }
+    let mut byte = [0u8; 1];
+    let next_byte = || Ok(r.read_exact(&mut byte).map(|()| byte[0])?);
+    leb128::decode(next_byte, || CodecError::Truncated)
 }
 
 fn zigzag(v: i64) -> u64 {
@@ -128,7 +109,8 @@ fn unzigzag(v: u64) -> i64 {
     ((v >> 1) as i64) ^ -((v & 1) as i64)
 }
 
-/// Writes `trace` in the compact binary format.
+/// Writes `trace` in the compact binary format: encoded in memory by
+/// [`append_binary`], then handed to `w` in one `write_all`.
 ///
 /// # Errors
 ///
@@ -150,21 +132,28 @@ fn unzigzag(v: u64) -> i64 {
 /// # }
 /// ```
 pub fn write_binary<W: Write>(w: &mut W, trace: &Trace) -> io::Result<()> {
-    w.write_all(MAGIC)?;
-    write_varint(w, VERSION)?;
-    write_varint(w, trace.name().len() as u64)?;
-    w.write_all(trace.name().as_bytes())?;
-    write_varint(w, trace.len() as u64)?;
+    let mut buf = Vec::new();
+    append_binary(&mut buf, trace);
+    w.write_all(&buf)
+}
+
+/// Appends `trace` to `buf` in the format [`write_binary`] writes.
+pub fn append_binary(buf: &mut Vec<u8>, trace: &Trace) {
+    // Typical records take 4-6 bytes; reserving once saves the regrowth.
+    buf.reserve(16 + trace.name().len() + 6 * trace.len());
+    buf.extend_from_slice(MAGIC);
+    leb128::put(buf, VERSION);
+    leb128::put(buf, trace.name().len() as u64);
+    buf.extend_from_slice(trace.name().as_bytes());
+    leb128::put(buf, trace.len() as u64);
     let mut prev_pc = 0u64;
     for r in trace.records() {
-        let flags = r.kind.code() | (u8::from(r.taken) << 3);
-        w.write_all(&[flags])?;
-        write_varint(w, zigzag(r.pc.wrapping_sub(prev_pc) as i64))?;
-        write_varint(w, zigzag(r.target.wrapping_sub(r.pc) as i64))?;
-        write_varint(w, u64::from(r.inst_gap))?;
+        buf.push(r.kind.code() | (u8::from(r.taken) << 3));
+        leb128::put(buf, zigzag(r.pc.wrapping_sub(prev_pc) as i64));
+        leb128::put(buf, zigzag(r.target.wrapping_sub(r.pc) as i64));
+        leb128::put(buf, u64::from(r.inst_gap));
         prev_pc = r.pc;
     }
-    Ok(())
 }
 
 /// Reads a trace previously written with [`write_binary`].
@@ -381,22 +370,9 @@ impl<R: Read> BatchReader<R> {
         Ok(())
     }
 
-    /// Same value and error semantics as the free `read_varint` (byte is
-    /// consumed before the 10-byte overlong check fires).
+    /// Same value and error semantics as the free `read_varint`.
     fn read_varint(&mut self) -> Result<u64, CodecError> {
-        let mut v = 0u64;
-        let mut shift = 0u32;
-        loop {
-            let b = self.read_byte()?;
-            if shift >= 64 {
-                return Err(CodecError::Truncated);
-            }
-            v |= u64::from(b & 0x7f) << shift;
-            if b & 0x80 == 0 {
-                return Ok(v);
-            }
-            shift += 7;
-        }
+        leb128::decode(|| self.read_byte(), || CodecError::Truncated)
     }
 }
 
@@ -506,7 +482,7 @@ mod tests {
     fn unsupported_version_is_reported() {
         let mut buf = Vec::new();
         buf.extend_from_slice(MAGIC);
-        write_varint(&mut buf, 99).unwrap();
+        leb128::put(&mut buf, 99);
         let err = read_binary(&mut buf.as_slice()).unwrap_err();
         assert!(matches!(err, CodecError::UnsupportedVersion(99)));
     }
@@ -525,7 +501,7 @@ mod tests {
     fn varint_boundaries_roundtrip() {
         for v in [0u64, 1, 127, 128, 16383, 16384, u64::MAX] {
             let mut buf = Vec::new();
-            write_varint(&mut buf, v).unwrap();
+            leb128::put(&mut buf, v);
             assert_eq!(read_varint(&mut buf.as_slice()).unwrap(), v);
         }
     }
@@ -608,8 +584,8 @@ mod tests {
     fn oversized_name_length_is_rejected_without_allocating() {
         let mut buf = Vec::new();
         buf.extend_from_slice(MAGIC);
-        write_varint(&mut buf, VERSION).unwrap();
-        write_varint(&mut buf, u64::MAX).unwrap(); // claimed name length
+        leb128::put(&mut buf, VERSION);
+        leb128::put(&mut buf, u64::MAX); // claimed name length
         let err = read_binary(&mut buf.as_slice()).unwrap_err();
         assert!(
             matches!(err, CodecError::NameTooLong(n) if n == u64::MAX),
@@ -621,15 +597,28 @@ mod tests {
     fn inst_gap_overflow_is_rejected() {
         let mut buf = Vec::new();
         buf.extend_from_slice(MAGIC);
-        write_varint(&mut buf, VERSION).unwrap();
-        write_varint(&mut buf, 1).unwrap(); // name length
+        leb128::put(&mut buf, VERSION);
+        leb128::put(&mut buf, 1); // name length
         buf.push(b'x');
-        write_varint(&mut buf, 1).unwrap(); // record count
+        leb128::put(&mut buf, 1); // record count
         buf.push(BranchKind::CondDirect.code() | 0x8); // flags
-        write_varint(&mut buf, zigzag(0x1000)).unwrap(); // pc delta
-        write_varint(&mut buf, zigzag(0x40)).unwrap(); // target delta
-        write_varint(&mut buf, u64::from(u32::MAX) + 1).unwrap(); // inst_gap
+        leb128::put(&mut buf, zigzag(0x1000)); // pc delta
+        leb128::put(&mut buf, zigzag(0x40)); // target delta
+        leb128::put(&mut buf, u64::from(u32::MAX) + 1); // inst_gap
         let err = read_binary(&mut buf.as_slice()).unwrap_err();
         assert!(matches!(err, CodecError::Overflow("inst_gap")), "{err}");
+    }
+
+    #[test]
+    fn tenth_varint_byte_above_one_is_rejected_by_both_readers() {
+        // Record count 2^64: a lenient decoder drops the high bit, reads 0.
+        let mut buf = Vec::new();
+        write_binary(&mut buf, &Trace::new("x")).unwrap();
+        buf.pop();
+        buf.extend_from_slice(&[0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x02]);
+        let err = read_binary(&mut buf.as_slice()).unwrap_err();
+        assert!(matches!(err, CodecError::Truncated), "{err}");
+        let err = read_binary_batched(&mut buf.as_slice()).unwrap_err();
+        assert!(matches!(err, CodecError::Truncated), "{err}");
     }
 }

@@ -24,7 +24,7 @@ use btb_model::BtbConfig;
 use btb_trace::{BranchKind, BranchRecord, Trace};
 use hintd::{HintClient, HintStore, RetryPolicy, StoreConfig};
 use sim_support::fault::CRASH_EXIT_CODE;
-use sim_support::NetFaultPlan;
+use sim_support::FaultPlan;
 
 const APPS: [&str; 2] = ["alpha", "beta"];
 
@@ -116,7 +116,7 @@ fn fast_client(addr: &str) -> HintClient {
             base_delay_ms: 1,
             max_delay_ms: 8,
         },
-        NetFaultPlan::default(),
+        FaultPlan::default(),
         0,
     );
     client.set_read_timeout_ms(1_000);
@@ -257,4 +257,22 @@ fn sigkill_between_acks_recovers_byte_identical_tables() {
         reference_tables(0..6),
         "post-SIGKILL tables must be byte-identical to the uninterrupted run"
     );
+}
+
+#[test]
+fn fault_plan_keys_a_binary_never_reaches_are_usage_errors() {
+    // Were the plan accepted, both runs would fail fast with exit 1: the
+    // data dir cannot be created, and no server listens on port 1.
+    let exit_code = |bin: &str, args: &str| {
+        let mut cmd = Command::new(bin);
+        cmd.args(args.split(' '))
+            .stdout(Stdio::null())
+            .stderr(Stdio::null());
+        cmd.status().expect("spawn").code()
+    };
+    let hintd = "--data-dir /dev/null/x --fault-plan panic=fig01:1:poison";
+    assert_eq!(exit_code(env!("CARGO_BIN_EXE_hintd"), hintd), Some(2));
+    let hintload = "--addr 127.0.0.1:1 --retries 0 --dump-only --dump-tables /dev/null/x \
+                    --fault-plan exit-after=1";
+    assert_eq!(exit_code(env!("CARGO_BIN_EXE_hintload"), hintload), Some(2));
 }
