@@ -2,6 +2,11 @@
 //! model (TAGE + BTB + caches + timing). This bounds figure regeneration
 //! time — the Fig. 1/11 grids run ~100 of these simulations.
 //!
+//! `lru_sim` is one run from a cold frontend: building the frontend event
+//! stream plus one replay. `six_policies` is a policy comparison on one
+//! trace — the benchmark's six policies through one fresh `Pipeline`, so
+//! one build and six replays — and is what the stream sharing speeds up.
+//!
 //! Also measures the figure grid itself (a smoke-scale `fig01`) serially
 //! and through the shared pool, so the scatter/gather overhead and the
 //! machine's actual speedup are on record next to the per-sim rate.
@@ -37,10 +42,26 @@ fn main() {
         let mut fe = Frontend::new(FrontendConfig::table1(), Lru::new());
         black_box(fe.run(&trace, None))
     });
-    let pipeline = Pipeline::new(PipelineConfig::default());
+    // A fresh Pipeline per iteration: its memo would otherwise keep the
+    // event stream from one iteration to the next.
     harness.bench("full_pipeline_profile_plus_sim", records, || {
+        let pipeline = Pipeline::new(PipelineConfig::default());
         let hints = pipeline.profile_to_hints(&trace);
         black_box(pipeline.run_thermometer(&trace, &hints))
+    });
+    let hints = Pipeline::default().profile_to_hints(&trace);
+    harness.bench("six_policies", records, || {
+        let pipeline = Pipeline::new(PipelineConfig::default());
+        let mut reports: Vec<_> = ["lru", "srrip", "ghrp", "hawkeye", "opt"]
+            .iter()
+            .map(|name| {
+                pipeline
+                    .run_named(&trace, name, None)
+                    .expect("known policy")
+            })
+            .collect();
+        reports.push(pipeline.run_thermometer(&trace, &hints));
+        black_box(reports)
     });
 
     // The grid executor, serial vs. pooled, on one representative figure.

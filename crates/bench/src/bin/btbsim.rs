@@ -87,8 +87,10 @@ fn main() {
     });
 
     // Scatter the runs, gather reports in the order the policies were given.
+    // A `Pipeline` is !Sync (it memoizes the frontend stream): one per task.
+    let config = pipeline.config();
     let reports = pool::par_map(ctx.pool(), &policies, |_, name| {
-        pipeline
+        Pipeline::new(config.clone())
             .run_named(&trace, name, hints.as_ref())
             // justified expect: every policy name was checked against
             // POLICY_NAMES during argument parsing (load() exits with

@@ -17,8 +17,8 @@ use crate::{per_app, RunCtx};
 
 /// Fig. 1: speedup of SRRIP / GHRP / Hawkeye / OPT over LRU.
 pub fn fig01(ctx: &mut RunCtx, scale: &Scale) -> FigureResult {
-    let pipeline = Pipeline::new(PipelineConfig::default());
     let rows = per_app(ctx, "fig01", &scale.apps, |spec| {
+        let pipeline = Pipeline::new(PipelineConfig::default());
         let trace = test_trace(spec, scale);
         let lru = pipeline.run_lru(&trace);
         let values = vec![
@@ -50,8 +50,8 @@ pub fn fig01(ctx: &mut RunCtx, scale: &Scale) -> FigureResult {
 
 /// Fig. 2: limit study — perfect BTB / branch predictor / I-cache.
 pub fn fig02(ctx: &mut RunCtx, scale: &Scale) -> FigureResult {
-    let pipeline = Pipeline::new(PipelineConfig::default());
     let rows = per_app(ctx, "fig02", &scale.apps, |spec| {
+        let pipeline = Pipeline::new(PipelineConfig::default());
         let trace = test_trace(spec, scale);
         let lru = pipeline.run_lru(&trace);
         let perfect = |opts: PerfectOptions| pipeline.run_perfect(&trace, opts).speedup_over(&lru);
@@ -94,8 +94,8 @@ pub fn fig02(ctx: &mut RunCtx, scale: &Scale) -> FigureResult {
 
 /// Fig. 3: L2 instruction MPKI per application.
 pub fn fig03(ctx: &mut RunCtx, scale: &Scale) -> FigureResult {
-    let pipeline = Pipeline::new(PipelineConfig::default());
     let rows = per_app(ctx, "fig03", &scale.apps, |spec| {
+        let pipeline = Pipeline::new(PipelineConfig::default());
         let trace = test_trace(spec, scale);
         let report = pipeline.run_lru(&trace);
         Row::new(spec.name.clone(), vec![report.l2_impki()])
@@ -118,8 +118,8 @@ pub fn fig03(ctx: &mut RunCtx, scale: &Scale) -> FigureResult {
 /// Fig. 4: BTB prefetching (Confluence / Shotgun) with LRU and OPT, vs. a
 /// perfect BTB.
 pub fn fig04(ctx: &mut RunCtx, scale: &Scale) -> FigureResult {
-    let pipeline = Pipeline::new(PipelineConfig::default());
     let rows = per_app(ctx, "fig04", &scale.apps, |spec| {
+        let pipeline = Pipeline::new(PipelineConfig::default());
         let trace = test_trace(spec, scale);
         let config = pipeline.config().frontend;
         let lru = pipeline.run_lru(&trace);
@@ -141,7 +141,7 @@ pub fn fig04(ctx: &mut RunCtx, scale: &Scale) -> FigureResult {
                 btb_model::policies::Lru::new(),
             );
             let mut fe = Frontend::with_btb(config, shotgun);
-            fe.run(&trace, None).speedup_over(&lru)
+            pipeline.simulate(&mut fe, &trace, None).speedup_over(&lru)
         };
 
         let opt = pipeline.run_opt(&trace).speedup_over(&lru);
@@ -160,7 +160,9 @@ pub fn fig04(ctx: &mut RunCtx, scale: &Scale) -> FigureResult {
             let shotgun = ShotgunBtb::new(config.btb, BeladyOpt::new(), BeladyOpt::new());
             let mut fe = Frontend::with_btb(config, shotgun);
             let oracle = NextUseOracle::build(&trace);
-            fe.run(&trace, Some(&oracle)).speedup_over(&lru)
+            pipeline
+                .simulate(&mut fe, &trace, Some(&oracle))
+                .speedup_over(&lru)
         };
 
         let perfect = pipeline

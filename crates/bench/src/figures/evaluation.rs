@@ -19,9 +19,9 @@ use crate::{per_app, RunCtx};
 /// Fig. 11: Thermometer (including the 7979-entry iso-storage variant) vs.
 /// prior policies and OPT.
 pub fn fig11(ctx: &mut RunCtx, scale: &Scale) -> FigureResult {
-    let pipeline = Pipeline::new(PipelineConfig::default());
-    let iso = pipeline.with_btb(BtbConfig::iso_storage_7979());
     let rows = per_app(ctx, "fig11", &scale.apps, |spec| {
+        let pipeline = Pipeline::new(PipelineConfig::default());
+        let iso = pipeline.with_btb(BtbConfig::iso_storage_7979());
         let train = train_trace(spec, scale);
         let test = test_trace(spec, scale);
         let hints = pipeline.profile_to_hints(&train);
@@ -68,8 +68,8 @@ pub fn fig11(ctx: &mut RunCtx, scale: &Scale) -> FigureResult {
 
 /// Fig. 12: BTB miss reduction over LRU.
 pub fn fig12(ctx: &mut RunCtx, scale: &Scale) -> FigureResult {
-    let pipeline = Pipeline::new(PipelineConfig::default());
     let rows = per_app(ctx, "fig12", &scale.apps, |spec| {
+        let pipeline = Pipeline::new(PipelineConfig::default());
         let train = train_trace(spec, scale);
         let test = test_trace(spec, scale);
         let hints = pipeline.profile_to_hints(&train);
@@ -109,8 +109,8 @@ pub fn fig12(ctx: &mut RunCtx, scale: &Scale) -> FigureResult {
 /// Fig. 13: generalization across inputs — training-input profile vs.
 /// same-input profile, as a percentage of the optimal speedup.
 pub fn fig13(ctx: &mut RunCtx, scale: &Scale) -> FigureResult {
-    let pipeline = Pipeline::new(PipelineConfig::default());
     let per_app_rows = per_app(ctx, "fig13", &scale.apps, |spec| {
+        let pipeline = Pipeline::new(PipelineConfig::default());
         let train = train_trace(spec, scale);
         let train_hints = pipeline.profile_to_hints(&train);
         let mut rows = Vec::new();
@@ -173,8 +173,8 @@ pub fn fig13(ctx: &mut RunCtx, scale: &Scale) -> FigureResult {
 /// resulting profile. Measured wall-clock per access lives in the bench
 /// harness (`cargo bench --bench profiling` → `results/bench_profiling.json`).
 pub fn fig14(ctx: &mut RunCtx, scale: &Scale) -> FigureResult {
-    let pipeline = Pipeline::new(PipelineConfig::default());
     let rows = per_app(ctx, "fig14", &scale.apps, |spec| {
+        let pipeline = Pipeline::new(PipelineConfig::default());
         let train = train_trace(spec, scale);
         let profile = pipeline.profile(&train);
         let accesses: u64 = profile.branches.values().map(|c| c.taken).sum();
@@ -208,8 +208,8 @@ pub fn fig14(ctx: &mut RunCtx, scale: &Scale) -> FigureResult {
 /// Fig. 15: replacement coverage — evictions where the temperature
 /// distinguished the candidates.
 pub fn fig15(ctx: &mut RunCtx, scale: &Scale) -> FigureResult {
-    let pipeline = Pipeline::new(PipelineConfig::default());
     let rows = per_app(ctx, "fig15", &scale.apps, |spec| {
+        let pipeline = Pipeline::new(PipelineConfig::default());
         let train = train_trace(spec, scale);
         let test = test_trace(spec, scale);
         let hints = pipeline.profile_to_hints(&train);
@@ -237,8 +237,8 @@ pub fn fig15(ctx: &mut RunCtx, scale: &Scale) -> FigureResult {
 /// and Thermometer decisions.
 pub fn fig16(ctx: &mut RunCtx, scale: &Scale) -> FigureResult {
     let config = BtbConfig::table1();
-    let pipeline = Pipeline::new(PipelineConfig::default());
     let rows = per_app(ctx, "fig16", &scale.apps, |spec| {
+        let pipeline = Pipeline::new(PipelineConfig::default());
         let train = train_trace(spec, scale);
         let test = test_trace(spec, scale);
         let hints = pipeline.profile_to_hints(&train);

@@ -28,8 +28,8 @@ use crate::{per_app, RunCtx};
 
 /// Extension: every implemented replacement policy over LRU.
 pub fn extra_policies(ctx: &mut RunCtx, scale: &Scale) -> FigureResult {
-    let pipeline = Pipeline::new(PipelineConfig::default());
     let rows = per_app(ctx, "extra-policies", &scale.apps, |spec| {
+        let pipeline = Pipeline::new(PipelineConfig::default());
         let test = test_trace(spec, scale);
         let lru = pipeline.run_lru(&test);
         Row::new(
@@ -78,8 +78,8 @@ pub fn extra_policies(ctx: &mut RunCtx, scale: &Scale) -> FigureResult {
 /// table trained on input #0, tested on input #1. The pinned column is an
 /// in-figure differential: it must numerically equal SRRIP.
 pub fn trrip_grid(ctx: &mut RunCtx, scale: &Scale) -> FigureResult {
-    let pipeline = Pipeline::new(PipelineConfig::default());
     let rows = per_app(ctx, "trrip", &scale.apps, |spec| {
+        let pipeline = Pipeline::new(PipelineConfig::default());
         let train = train_trace(spec, scale);
         let test = test_trace(spec, scale);
         let hints = pipeline.profile_to_hints(&train);
@@ -135,7 +135,7 @@ fn run_hierarchy<B: BtbInterface>(
     if let Some(h) = hints {
         fe.set_hints(h.to_map());
     }
-    let mut report = fe.run(trace, None);
+    let mut report = pipeline.simulate(&mut fe, trace, None);
     report.label = label.into();
     report
 }
@@ -147,10 +147,10 @@ fn run_hierarchy<B: BtbInterface>(
 /// (TRRIP, Thermometer) do not depend on observed recency. The exclusive
 /// organization fills the last level only with L1 victims, Micro BTB-style.
 pub fn hierarchy(ctx: &mut RunCtx, scale: &Scale) -> FigureResult {
-    let pipeline = Pipeline::new(PipelineConfig::default());
-    let l2 = pipeline.config().frontend.btb;
+    let l2 = PipelineConfig::default().frontend.btb;
     let l1 = BtbConfig::new(l2.entries() / 8, l2.ways());
     let rows = per_app(ctx, "hierarchy", &scale.apps, |spec| {
+        let pipeline = Pipeline::new(PipelineConfig::default());
         let train = train_trace(spec, scale);
         let test = test_trace(spec, scale);
         let hints = pipeline.profile_to_hints(&train);
@@ -255,8 +255,8 @@ fn cv_hints(pipeline: &Pipeline, train: &Trace) -> HintTable {
 
 /// Extension: Thermometer component ablations.
 pub fn ablation(ctx: &mut RunCtx, scale: &Scale) -> FigureResult {
-    let pipeline = Pipeline::new(PipelineConfig::default());
     let rows = per_app(ctx, "ablation", &scale.apps, |spec| {
+        let pipeline = Pipeline::new(PipelineConfig::default());
         let train = train_trace(spec, scale);
         let test = test_trace(spec, scale);
         let hints = pipeline.profile_to_hints(&train);

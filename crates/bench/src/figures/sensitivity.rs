@@ -238,8 +238,8 @@ pub fn fig20_ftq(ctx: &mut RunCtx, scale: &Scale) -> FigureResult {
 
 /// Fig. 21: composing Thermometer with the Twig BTB prefetcher.
 pub fn fig21(ctx: &mut RunCtx, scale: &Scale) -> FigureResult {
-    let pipeline = Pipeline::new(PipelineConfig::default());
     let rows = per_app(ctx, "fig21", &scale.apps, |spec| {
+        let pipeline = Pipeline::new(PipelineConfig::default());
         let train = train_trace(spec, scale);
         let test = test_trace(spec, scale);
         let hints = pipeline.profile_to_hints(&train);

@@ -34,9 +34,9 @@ fn percentile(sorted: &[f64], q: f64) -> f64 {
 /// suite, with fixed (50/80) and two-fold cross-validated thresholds.
 pub fn fig17(ctx: &mut RunCtx, scale: &Scale) -> FigureResult {
     let traces = cbp5_suite(SuiteParams::new(scale.cbp_count, scale.cbp_len));
-    let pipeline = Pipeline::new(PipelineConfig::default());
 
     let per_trace: Vec<(f64, f64, f64)> = per_app_traces(ctx, "fig17", &traces, |trace| {
+        let pipeline = Pipeline::new(PipelineConfig::default());
         let ghrp = pipeline.run_ghrp(trace);
         let profile = pipeline.profile(trace);
         let fixed_hints = HintTable::from_profile(&profile, &TemperatureConfig::paper_default());
@@ -117,9 +117,9 @@ pub fn fig17(ctx: &mut RunCtx, scale: &Scale) -> FigureResult {
 /// Fig. 18: IPC speedup over LRU on the IPC-1-style suite.
 pub fn fig18(ctx: &mut RunCtx, scale: &Scale) -> FigureResult {
     let traces = ipc1_suite(SuiteParams::new(scale.ipc1_count, scale.ipc1_len));
-    let pipeline = Pipeline::new(PipelineConfig::default());
 
     let per_trace: Vec<(Vec<f64>, f64)> = per_app_traces(ctx, "fig18", &traces, |trace| {
+        let pipeline = Pipeline::new(PipelineConfig::default());
         let lru = pipeline.run_lru(trace);
         let hints = pipeline.profile_to_hints(trace);
         let speedups = vec![

@@ -4,11 +4,18 @@
 //! figure harness: one [`Pipeline`] holds a frontend configuration and a
 //! temperature configuration and can run any of the paper's policies over
 //! any trace with consistent settings.
+//!
+//! Every run goes through [`Pipeline::simulate`], which replays a memoized
+//! [`FrontendEvents`] stream: comparing policies on one trace runs TAGE,
+//! the I-cache hierarchy, the IBTB and the RAS once, not once per policy.
+
+use std::cell::RefCell;
+use std::rc::Rc;
 
 use btb_model::policies::{BeladyOpt, Ghrp, GhrpConfig, Hawkeye, HawkeyeConfig, Lru, Srrip};
-use btb_model::{BtbConfig, ReplacementPolicy};
+use btb_model::{BtbConfig, BtbInterface, ReplacementPolicy};
 use btb_trace::{NextUseOracle, Trace};
-use uarch_sim::{Frontend, FrontendConfig, PerfectOptions, SimReport};
+use uarch_sim::{Frontend, FrontendConfig, FrontendEvents, PerfectOptions, SimReport};
 
 use crate::hints::HintTable;
 use crate::policy::ThermometerPolicy;
@@ -62,15 +69,34 @@ pub const POLICY_NAMES: [&str; 12] = [
 ];
 
 /// The profile-guided workflow plus baseline runners.
+///
+/// A pipeline remembers the [`FrontendEvents`] of the last trace it
+/// simulated, keyed by the trace's length and content fingerprint: the
+/// stream depends on the records alone, and every configuration field
+/// applies at replay. The memo holds one entry, and the old stream is
+/// dropped before a new one is built. The memo makes a `Pipeline` `!Sync`:
+/// parallel callers build one per task (it is configuration only, so that
+/// costs nothing).
 #[derive(Clone, Debug, Default)]
 pub struct Pipeline {
     config: PipelineConfig,
+    events: RefCell<Option<(StreamKey, Rc<FrontendEvents>)>>,
+}
+
+/// What identifies a trace to the event memo.
+#[derive(Copy, Clone, Debug, PartialEq, Eq)]
+struct StreamKey {
+    len: usize,
+    fingerprint: u64,
 }
 
 impl Pipeline {
     /// Creates a pipeline with the given settings.
     pub fn new(config: PipelineConfig) -> Self {
-        Self { config }
+        Self {
+            config,
+            events: RefCell::default(),
+        }
     }
 
     /// The settings in use.
@@ -102,7 +128,7 @@ impl Pipeline {
     ) -> (SimReport, crate::policy::CoverageCounters) {
         let mut fe = Frontend::new(self.config.frontend, ThermometerPolicy::new());
         fe.set_hints(hints.to_map());
-        let mut report = fe.run(trace, None);
+        let mut report = self.simulate(&mut fe, trace, None);
         report.label = "Thermometer".into();
         let coverage = fe.btb().policy().coverage();
         (report, coverage)
@@ -132,7 +158,7 @@ impl Pipeline {
             fe.set_prefetcher(p);
         }
         let oracle = with_oracle.then(|| NextUseOracle::build(trace));
-        let mut report = fe.run(trace, oracle.as_ref());
+        let mut report = self.simulate(&mut fe, trace, oracle.as_ref());
         report.label = label;
         report
     }
@@ -141,7 +167,7 @@ impl Pipeline {
     pub fn run_policy<P: ReplacementPolicy>(&self, trace: &Trace, policy: P) -> SimReport {
         let label = policy.name();
         let mut fe = Frontend::new(self.config.frontend, policy);
-        let mut report = fe.run(trace, None);
+        let mut report = self.simulate(&mut fe, trace, None);
         report.label = label.into();
         report
     }
@@ -170,7 +196,7 @@ impl Pipeline {
     pub fn run_opt(&self, trace: &Trace) -> SimReport {
         let oracle = NextUseOracle::build(trace);
         let mut fe = Frontend::new(self.config.frontend, BeladyOpt::new());
-        let mut report = fe.run(trace, Some(&oracle));
+        let mut report = self.simulate(&mut fe, trace, Some(&oracle));
         report.label = "OPT".into();
         report
     }
@@ -210,7 +236,7 @@ impl Pipeline {
             .policy()
             .needs_oracle()
             .then(|| NextUseOracle::build(trace));
-        let mut report = fe.run(trace, oracle.as_ref());
+        let mut report = self.simulate(&mut fe, trace, oracle.as_ref());
         report.label = label.into();
         Some(report)
     }
@@ -220,7 +246,7 @@ impl Pipeline {
         let mut config = self.config.frontend;
         config.perfect = perfect;
         let mut fe = Frontend::new(config, Lru::new());
-        let mut report = fe.run(trace, None);
+        let mut report = self.simulate(&mut fe, trace, None);
         report.label = match (perfect.btb, perfect.branch_predictor, perfect.icache) {
             (true, false, false) => "Perfect-BTB".into(),
             (false, true, false) => "Perfect-BP".into(),
@@ -230,8 +256,41 @@ impl Pipeline {
         report
     }
 
+    /// Runs `fe` over `trace` — [`Frontend::run`], with the event stream
+    /// taken from this pipeline's memo, or built into it when `trace` is
+    /// not the trace the memo holds. `fe` may carry any BTB organization,
+    /// prefetcher, hints or configuration.
+    pub fn simulate<B: BtbInterface>(
+        &self,
+        fe: &mut Frontend<B>,
+        trace: &Trace,
+        oracle: Option<&NextUseOracle>,
+    ) -> SimReport {
+        fe.run_events(trace, &self.events(trace), oracle)
+    }
+
+    /// The memoized event stream of `trace`.
+    fn events(&self, trace: &Trace) -> Rc<FrontendEvents> {
+        let key = StreamKey {
+            len: trace.len(),
+            fingerprint: trace.fingerprint(),
+        };
+        let mut slot = self.events.borrow_mut();
+        if let Some((held, events)) = slot.as_ref() {
+            if *held == key {
+                return Rc::clone(events);
+            }
+        }
+        // Drop the old stream first: at most one is ever alive.
+        *slot = None;
+        let events = Rc::new(FrontendEvents::build(trace));
+        *slot = Some((key, Rc::clone(&events)));
+        events
+    }
+
     /// Convenience: a pipeline identical to this one but with a different
-    /// BTB geometry (for the iso-storage and sensitivity studies).
+    /// BTB geometry (for the iso-storage and sensitivity studies). It
+    /// starts with an empty event memo.
     pub fn with_btb(&self, btb: BtbConfig) -> Pipeline {
         let mut config = self.config.clone();
         config.frontend.btb = btb;
@@ -336,6 +395,91 @@ mod tests {
         let direct = p.run_lru(&trace);
         assert_eq!(named.btb.misses, direct.btb.misses);
         assert_eq!(named.label, direct.label);
+    }
+
+    /// A copy of `trace` with one record's `inst_gap` changed: same name,
+    /// same length, different content.
+    fn one_record_changed(trace: &Trace, index: usize) -> Trace {
+        let mut records = trace.records().to_vec();
+        records[index].inst_gap += 40;
+        Trace::from_records(trace.name(), records)
+    }
+
+    /// What the memo holds, or `None`.
+    fn held(p: &Pipeline) -> Option<StreamKey> {
+        p.events.borrow().as_ref().map(|(key, _)| *key)
+    }
+
+    #[test]
+    fn memo_tells_same_name_same_length_traces_apart() {
+        let a = small_trace(1);
+        let b = one_record_changed(&a, a.len() / 2);
+        assert_eq!((a.name(), a.len()), (b.name(), b.len()));
+        let p = Pipeline::new(PipelineConfig::default());
+        let lru_a = p.run_lru(&a);
+        let lru_b = p.run_lru(&b);
+        assert_eq!(lru_b, Pipeline::default().run_lru(&b));
+        assert_ne!(lru_a, lru_b, "the edited record must change the run");
+        assert_eq!(held(&p).map(|k| k.fingerprint), Some(b.fingerprint()));
+    }
+
+    #[test]
+    fn memo_never_crosses_pipelines_or_perfect_icache_runs() {
+        let trace = small_trace(1);
+        let p = Pipeline::new(PipelineConfig::default());
+        let icache = PerfectOptions {
+            icache: true,
+            ..Default::default()
+        };
+        // A perfect-I-cache run after a normal one, and the reverse, on a
+        // warm memo: both equal a cold pipeline's report.
+        let lru = p.run_lru(&trace);
+        let perfect = p.run_perfect(&trace, icache);
+        assert_eq!(perfect, Pipeline::default().run_perfect(&trace, icache));
+        assert_eq!(perfect.l1i_misses, 0);
+        assert_eq!(perfect.icache_stall_cycles, 0.0);
+        assert_eq!(p.run_lru(&trace), lru);
+        let q = Pipeline::default();
+        assert_eq!(q.run_perfect(&trace, icache), perfect);
+        assert_eq!(q.run_lru(&trace), lru);
+
+        // with_btb builds a pipeline with its own, empty memo.
+        let small = BtbConfig::new(1024, 4);
+        let derived = p.with_btb(small);
+        assert_eq!(held(&derived), None);
+        let got = derived.run_lru(&trace);
+        assert_eq!(got, Pipeline::default().with_btb(small).run_lru(&trace));
+        assert_ne!(got.btb.misses, lru.btb.misses, "geometry reached the BTB");
+
+        // A pipeline configured with a perfect I-cache, switching traces.
+        let mut config = PipelineConfig::default();
+        config.frontend.perfect.icache = true;
+        let r = Pipeline::new(config.clone());
+        let other = small_trace(0);
+        assert_eq!(
+            r.run_lru(&other),
+            Pipeline::new(config.clone()).run_lru(&other)
+        );
+        assert_eq!(r.run_lru(&trace), Pipeline::new(config).run_lru(&trace));
+    }
+
+    #[test]
+    fn memo_alternating_traces_keeps_exact_reports() {
+        let a = small_trace(1);
+        let b = small_trace(2);
+        let p = Pipeline::new(PipelineConfig::default());
+        let hints = p.profile_to_hints(&small_trace(0));
+        let first = (p.run_lru(&a), p.run_thermometer(&a, &hints));
+        let weak_a = std::rc::Rc::downgrade(&p.events.borrow().as_ref().unwrap().1);
+        let on_b = p.run_lru(&b);
+        assert!(
+            weak_a.upgrade().is_none(),
+            "A's stream outlived the switch to B"
+        );
+        let again = (p.run_lru(&a), p.run_thermometer(&a, &hints));
+        assert_eq!(again, first);
+        assert_eq!(on_b, Pipeline::default().run_lru(&b));
+        assert_eq!(held(&p).map(|k| k.len), Some(a.len()));
     }
 
     #[test]

@@ -1,6 +1,6 @@
-//! The decoupled-frontend (FDIP) simulation loop.
+//! The decoupled-frontend (FDIP) simulation, in two stages.
 //!
-//! One pass over a branch trace, modeling (per record):
+//! One pass over a branch trace models, per record:
 //!
 //! 1. **Fetch bandwidth** — `inst_gap + 1` instructions at `fetch_width`
 //!    per cycle.
@@ -16,8 +16,30 @@
 //!    flush > target flush > BTB-miss re-steer), and any squash zeroes the
 //!    lead.
 //!
+//! TAGE, the I-cache hierarchy, the IBTB and the RAS never read BTB state:
+//! a re-steer collapses the prefetch shield but does not change what any
+//! of them hold. So the simulation splits into two stages that together
+//! give the same report, bit for bit, as one fused loop would:
+//!
+//! * [`FrontendEvents::build`] runs those four structures once per trace
+//!   and records, per record, whether the direction and the indirect or
+//!   return target were predicted wrong, and the hit level of each block
+//!   fetch that missed L1I.
+//! * [`Frontend::run_events`] replays that stream under one BTB
+//!   organization: the BTB access, the BTB prefetcher, the hints, and the
+//!   `lead`/cycle accounting, in the fused loop's order, so every `f64`
+//!   sum is bit-identical. `lead` is the only coupling between the BTB and
+//!   the I-cache stalls.
+//!
+//! Comparing many BTB policies on one trace builds the stream once and
+//! replays it per policy (`thermometer::Pipeline` memoizes it).
+//! [`Frontend::run`] is build + replay. The fused loop survives as
+//! [`crate::reference::FusedFrontend`], the differential-test oracle.
+//!
 //! The per-branch Thermometer hint (if a hint table is installed) rides
 //! into the BTB through [`AccessContext::hint`].
+
+use std::fmt;
 
 use sim_support::DetHashMap;
 
@@ -32,6 +54,7 @@ use crate::ibtb::Ibtb;
 use crate::prefetch::Prefetcher;
 use crate::ras::Ras;
 use crate::report::SimReport;
+use crate::tage::Tage;
 use crate::timing::TimingConfig;
 
 /// Limit-study switches (paper Fig. 2).
@@ -73,14 +96,164 @@ impl Default for FrontendConfig {
     }
 }
 
+/// Record flag: TAGE mispredicted this conditional's direction.
+const DIRECTION_WRONG: u8 = 1;
+/// Record flag: the IBTB (indirect) or RAS (return) target was wrong.
+const TARGET_WRONG: u8 = 2;
+/// Record flag: at least one of the record's block fetches missed L1I.
+const FETCH_MISSES: u8 = 4;
+
+/// Fetch-stream symbol closing one record's list of L1I misses.
+const END_OF_RECORD: u8 = 0;
+
+/// The policy-independent half of a frontend pass over one trace: the
+/// outcomes of TAGE, the I-cache hierarchy, the IBTB and the RAS, which no
+/// BTB organization, BTB prefetcher, hint table, timing parameter or
+/// perfect-structure switch can change.
+///
+/// The encoding is compact because a policy comparison keeps one stream
+/// alive next to its trace: one flag byte per record, plus 2-bit symbols
+/// packed four to a byte for the records whose flags say they missed L1I
+/// — the hit level of each such fetch in walk order (1 = L2, 2 = LLC,
+/// 3 = memory), then a 0. Fetches that hit L1I cost nothing and are not
+/// stored.
+pub struct FrontendEvents {
+    flags: Vec<u8>,
+    fetches: Vec<u8>,
+    l1i_misses: u64,
+    l2i_misses: u64,
+    llc_misses: u64,
+}
+
+impl FrontendEvents {
+    /// Runs TAGE, the Table 1 I-cache hierarchy, the IBTB and the RAS over
+    /// `trace` once, from cold, and records their outcomes.
+    pub fn build(trace: &Trace) -> Self {
+        let mut tage = Tage::new();
+        let mut ras = Ras::table1();
+        let mut ibtb = Ibtb::table1();
+        let mut icache = InstrHierarchy::table1();
+        let mut flags = Vec::with_capacity(trace.len());
+        let mut fetches = SymbolWriter::default();
+
+        for r in trace.records() {
+            let mut f = 0;
+            let start = r.pc.saturating_sub(u64::from(r.inst_gap) * 4);
+            let last_block = r.pc / BLOCK_BYTES;
+            let mut block = start / BLOCK_BYTES;
+            while block <= last_block {
+                let level = icache.fetch_block(block);
+                block += 1;
+                let symbol = match level {
+                    HitLevel::L1 => continue,
+                    HitLevel::L2 => 1,
+                    HitLevel::Llc => 2,
+                    HitLevel::Memory => 3,
+                };
+                fetches.push(symbol);
+                f |= FETCH_MISSES;
+            }
+            if f & FETCH_MISSES != 0 {
+                fetches.push(END_OF_RECORD);
+            }
+
+            if r.kind.is_conditional() {
+                let pred = tage.predict(r.pc);
+                if pred.taken != r.taken {
+                    f |= DIRECTION_WRONG;
+                }
+                tage.update(r.pc, r.taken, pred);
+            } else {
+                tage.note_taken_transfer(r.pc);
+            }
+
+            if r.taken {
+                let target_wrong = match r.kind {
+                    BranchKind::IndirectJump | BranchKind::IndirectCall => {
+                        let wrong = ibtb.predict(r.pc) != Some(r.target);
+                        ibtb.update(r.pc, r.target);
+                        wrong
+                    }
+                    BranchKind::Return => ras.pop() != Some(r.target),
+                    _ => false,
+                };
+                if target_wrong {
+                    f |= TARGET_WRONG;
+                }
+                if r.kind.is_call() {
+                    ras.push(r.pc + 4);
+                }
+            }
+            flags.push(f);
+        }
+
+        let mut fetches = fetches.bytes;
+        fetches.shrink_to_fit();
+        Self {
+            flags,
+            fetches,
+            l1i_misses: icache.l1i.misses,
+            l2i_misses: icache.l2.misses,
+            llc_misses: icache.llc.misses,
+        }
+    }
+}
+
+impl fmt::Debug for FrontendEvents {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("FrontendEvents")
+            .field("records", &self.flags.len())
+            .field("fetch_bytes", &self.fetches.len())
+            .field("l1i_misses", &self.l1i_misses)
+            .field("l2i_misses", &self.l2i_misses)
+            .field("llc_misses", &self.llc_misses)
+            .finish()
+    }
+}
+
+/// Appends 2-bit symbols, four to a byte, low bits first.
+#[derive(Default)]
+struct SymbolWriter {
+    bytes: Vec<u8>,
+    len: usize,
+}
+
+impl SymbolWriter {
+    fn push(&mut self, symbol: u8) {
+        let shift = (self.len % 4) * 2;
+        if shift == 0 {
+            self.bytes.push(symbol);
+        } else if let Some(last) = self.bytes.last_mut() {
+            *last |= symbol << shift;
+        }
+        self.len += 1;
+    }
+}
+
+/// Reads back what [`SymbolWriter`] wrote; past the end it reads
+/// [`END_OF_RECORD`].
+struct SymbolReader<'a> {
+    bytes: &'a [u8],
+    pos: usize,
+}
+
+impl SymbolReader<'_> {
+    fn next(&mut self) -> u8 {
+        let byte = self
+            .bytes
+            .get(self.pos / 4)
+            .copied()
+            .unwrap_or(END_OF_RECORD);
+        let symbol = (byte >> ((self.pos % 4) * 2)) & 3;
+        self.pos += 1;
+        symbol
+    }
+}
+
 /// The trace-driven frontend simulator, generic over the BTB organization.
 pub struct Frontend<B> {
     config: FrontendConfig,
     btb: B,
-    tage: crate::tage::Tage,
-    ras: Ras,
-    ibtb: Ibtb,
-    icache: InstrHierarchy,
     prefetcher: Option<Box<dyn Prefetcher>>,
     /// Looked up per branch record (hot); never iterated, so the seeded
     /// O(1) map is safe.
@@ -106,10 +279,6 @@ impl<B: BtbInterface> Frontend<B> {
         Self {
             config,
             btb,
-            tage: crate::tage::Tage::new(),
-            ras: Ras::table1(),
-            ibtb: Ibtb::table1(),
-            icache: InstrHierarchy::table1(),
             prefetcher: None,
             hints: None,
         }
@@ -131,13 +300,36 @@ impl<B: BtbInterface> Frontend<B> {
         &self.btb
     }
 
-    /// Simulates the trace once and reports. For Belady's OPT the caller
+    /// Simulates the trace once and reports: [`FrontendEvents::build`]
+    /// followed by [`Frontend::run_events`]. For Belady's OPT the caller
     /// must pass the trace's [`NextUseOracle`]; online policies pass `None`.
     ///
     /// A `Frontend` is single-shot: construct a fresh one per run (learned
-    /// predictor state would otherwise leak across runs).
+    /// BTB and prefetcher state would otherwise leak across runs).
     pub fn run(&mut self, trace: &Trace, oracle: Option<&NextUseOracle>) -> SimReport {
+        self.run_events(trace, &FrontendEvents::build(trace), oracle)
+    }
+
+    /// Simulates the trace once over `events`, the stream
+    /// [`FrontendEvents::build`] made from this same trace, and reports.
+    /// Many frontends can replay one stream.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `events` does not cover exactly `trace.len()` records.
+    pub fn run_events(
+        &mut self,
+        trace: &Trace,
+        events: &FrontendEvents,
+        oracle: Option<&NextUseOracle>,
+    ) -> SimReport {
+        assert_eq!(
+            events.flags.len(),
+            trace.len(),
+            "frontend event stream built from a different trace"
+        );
         let t = self.config.timing;
+        let perfect = self.config.perfect;
         let max_lead = t.max_lead();
         let mut report = SimReport {
             workload: trace.name().to_owned(),
@@ -147,14 +339,23 @@ impl<B: BtbInterface> Frontend<B> {
         let mut cycles = 0.0f64;
         let mut lead = 0.0f64; // run-ahead shield, cycles
         let mut access_index: u64 = 0; // position in the taken stream
+        let mut fetches = SymbolReader {
+            bytes: &events.fetches,
+            pos: 0,
+        };
 
         // Division by a power of two is exact, and so is multiplying by its
         // (exactly representable) reciprocal — bit-identical results without
         // a per-record divide. Non-power-of-two widths keep the division.
         let fetch_width = f64::from(t.fetch_width);
         let inv_fetch_width = (t.fetch_width.is_power_of_two()).then(|| 1.0 / fetch_width);
+        // Per fetch symbol (1 = L2, 2 = LLC, 3 = memory): the latency, and
+        // what a miss costs while the shield is up (latency / mlp).
+        let mlp = f64::from(t.prefetch_mlp);
+        let miss_cost = [t.l2_latency, t.llc_latency, t.memory_latency]
+            .map(|latency| (latency, f64::from(latency), f64::from(latency) / mlp));
 
-        for r in trace.records() {
+        for (r, &flags) in trace.records().iter().zip(&events.flags) {
             let insts = u64::from(r.inst_gap) + 1;
             report.instructions += insts;
             let base = match inv_fetch_width {
@@ -167,31 +368,20 @@ impl<B: BtbInterface> Frontend<B> {
             // shrinks on branchy code.
             lead = (lead + base - t.bpu_cycles_per_branch).clamp(0.0, max_lead);
 
-            // --- I-cache walk over the record's instruction range ---
-            if !self.config.perfect.icache {
-                let start = r.pc.saturating_sub(u64::from(r.inst_gap) * 4);
-                let first_block = start / BLOCK_BYTES;
-                let last_block = r.pc / BLOCK_BYTES;
-                let mut block = first_block;
-                while block <= last_block {
-                    let level = self.icache.fetch_block(block);
-                    block += 1;
-                    let latency = match level {
-                        HitLevel::L1 => 0,
-                        HitLevel::L2 => t.l2_latency,
-                        HitLevel::Llc => t.llc_latency,
-                        HitLevel::Memory => t.memory_latency,
+            // --- I-cache: the record's L1I misses, in walk order. A perfect
+            // I-cache never reads the fetch stream at all. ---
+            if flags & FETCH_MISSES != 0 && !perfect.icache {
+                loop {
+                    let (latency, full, overlapped) = match fetches.next() {
+                        END_OF_RECORD => break,
+                        symbol => miss_cost[usize::from(symbol) - 1],
                     };
                     if latency > 0 {
                         // With the shield up, the FTQ's prefetches overlap:
                         // a miss stream costs latency/mlp per block. With
                         // the shield down (right after a squash) the first
                         // block is a serialized demand miss.
-                        let effective = if lead > 0.0 {
-                            f64::from(latency) / f64::from(t.prefetch_mlp)
-                        } else {
-                            f64::from(latency)
-                        };
+                        let effective = if lead > 0.0 { overlapped } else { full };
                         let stall = (effective - lead).max(0.0);
                         cycles += stall;
                         report.icache_stall_cycles += stall;
@@ -206,21 +396,16 @@ impl<B: BtbInterface> Frontend<B> {
             let mut direction_flush = false;
             if r.kind.is_conditional() {
                 report.cond_branches += 1;
-                let pred = self.tage.predict(r.pc);
-                let mispredicted = pred.taken != r.taken;
-                self.tage.update(r.pc, r.taken, pred);
-                if mispredicted && !self.config.perfect.branch_predictor {
+                if flags & DIRECTION_WRONG != 0 && !perfect.branch_predictor {
                     report.cond_mispredicts += 1;
                     direction_flush = true;
                 }
-            } else {
-                self.tage.note_taken_transfer(r.pc);
             }
 
             let mut target_flush = false;
             let mut btb_missed = false;
             if r.taken {
-                let outcome = if self.config.perfect.btb {
+                let outcome = if perfect.btb {
                     report.btb.accesses += 1;
                     report.btb.hits += 1;
                     AccessOutcome::Hit {
@@ -273,19 +458,14 @@ impl<B: BtbInterface> Frontend<B> {
                 match r.kind {
                     BranchKind::IndirectJump | BranchKind::IndirectCall => {
                         report.indirect_branches += 1;
-                        if !btb_missed {
-                            let predicted = self.ibtb.predict(r.pc);
-                            if predicted != Some(r.target) {
-                                report.indirect_mispredicts += 1;
-                                target_flush = true;
-                            }
+                        if !btb_missed && flags & TARGET_WRONG != 0 {
+                            report.indirect_mispredicts += 1;
+                            target_flush = true;
                         }
-                        self.ibtb.update(r.pc, r.target);
                     }
                     BranchKind::Return => {
                         report.returns += 1;
-                        let predicted = self.ras.pop();
-                        if !btb_missed && predicted != Some(r.target) {
+                        if !btb_missed && flags & TARGET_WRONG != 0 {
                             report.return_mispredicts += 1;
                             target_flush = true;
                         }
@@ -300,9 +480,6 @@ impl<B: BtbInterface> Frontend<B> {
                             target_flush = true;
                         }
                     }
-                }
-                if r.kind.is_call() {
-                    self.ras.push(r.pc + 4);
                 }
             }
 
@@ -324,12 +501,14 @@ impl<B: BtbInterface> Frontend<B> {
         }
 
         report.cycles = cycles;
-        if !self.config.perfect.btb {
+        if !perfect.btb {
             report.btb = self.btb.stats();
         }
-        report.l1i_misses = self.icache.l1i.misses;
-        report.l2i_misses = self.icache.l2.misses;
-        report.llc_misses = self.icache.llc.misses;
+        if !perfect.icache {
+            report.l1i_misses = events.l1i_misses;
+            report.l2i_misses = events.l2i_misses;
+            report.llc_misses = events.llc_misses;
+        }
         report
     }
 }
@@ -338,9 +517,9 @@ impl<B: BtbInterface> Frontend<B> {
 /// prefetcher installs entries with their true temperature rather than the
 /// coldest category (which Thermometer would otherwise evict or reject
 /// immediately).
-struct HintedBtb<'a, B> {
-    btb: &'a mut B,
-    hints: Option<&'a DetHashMap<u64, u8>>,
+pub(crate) struct HintedBtb<'a, B> {
+    pub(crate) btb: &'a mut B,
+    pub(crate) hints: Option<&'a DetHashMap<u64, u8>>,
 }
 
 impl<B: BtbInterface> BtbInterface for HintedBtb<'_, B> {
@@ -392,6 +571,115 @@ mod tests {
             }
         }
         t
+    }
+
+    /// Each two-stage report equals the fused reference loop's.
+    fn assert_matches_fused(trace: &Trace, config: FrontendConfig) {
+        let fused = crate::reference::FusedFrontend::new(config, LruPolicy::new()).run(trace, None);
+        let split = Frontend::new(config, LruPolicy::new()).run(trace, None);
+        assert_eq!(split, fused, "{} under {:?}", trace.name(), config.perfect);
+    }
+
+    #[test]
+    fn two_stage_run_matches_the_fused_loop() {
+        let mut callret = Trace::new("callret");
+        for i in 0..3_000u64 {
+            let site = 0x1000 + (i % 7) * 0x100;
+            callret.push(BranchRecord::taken(site, 0x9000, BranchKind::DirectCall, 3));
+            // Every fifth return goes somewhere the RAS does not predict.
+            let ret = site + if i % 5 == 0 { 0x40 } else { 4 };
+            callret.push(BranchRecord::taken(0x9010, ret, BranchKind::Return, 2));
+            callret.push(BranchRecord::taken(
+                0x9020 + (i % 3) * 64,
+                0x5000 + (i % 5) * 64,
+                BranchKind::IndirectJump,
+                (i % 40) as u32,
+            ));
+            callret.push(BranchRecord::not_taken(0x5010, BranchKind::CondDirect, 1));
+        }
+        let mut stalls = FrontendConfig::table1();
+        stalls.timing.fetch_width = 5; // the non-power-of-two divide path
+        stalls.timing.l2_latency = 0; // zero-latency levels charge nothing
+        for trace in [loop_trace(20_000, 3, 9), callret] {
+            for perfect in [
+                PerfectOptions::default(),
+                PerfectOptions {
+                    btb: true,
+                    ..Default::default()
+                },
+                PerfectOptions {
+                    branch_predictor: true,
+                    ..Default::default()
+                },
+                PerfectOptions {
+                    icache: true,
+                    ..Default::default()
+                },
+            ] {
+                assert_matches_fused(
+                    &trace,
+                    FrontendConfig {
+                        perfect,
+                        ..FrontendConfig::table1()
+                    },
+                );
+            }
+            assert_matches_fused(&trace, stalls);
+        }
+    }
+
+    #[test]
+    fn fetch_symbols_round_trip_across_byte_boundaries() {
+        let symbols: Vec<u8> = (0..23u8).map(|i| (i * 7 + i / 3) % 4).collect();
+        let mut w = SymbolWriter::default();
+        for &s in &symbols {
+            w.push(s);
+        }
+        assert_eq!(w.bytes.len(), symbols.len().div_ceil(4));
+        let mut r = SymbolReader {
+            bytes: &w.bytes,
+            pos: 0,
+        };
+        let read: Vec<u8> = symbols.iter().map(|_| r.next()).collect();
+        assert_eq!(read, symbols);
+        assert_eq!(
+            r.next(),
+            END_OF_RECORD,
+            "past the end reads as a record end"
+        );
+    }
+
+    #[test]
+    fn one_record_spanning_many_missing_blocks_replays_exactly() {
+        // A 10k-instruction straight-line run: ~625 cold blocks in one
+        // record, far past any per-record count a flag byte could hold.
+        let mut trace = Trace::new("long");
+        trace.push(BranchRecord::taken(
+            0x80_0000,
+            0x1000,
+            BranchKind::UncondDirect,
+            10_000,
+        ));
+        trace.push(BranchRecord::taken(
+            0x1000,
+            0x80_0000,
+            BranchKind::UncondDirect,
+            3,
+        ));
+        let events = FrontendEvents::build(&trace);
+        assert!(events.l1i_misses > 600);
+        assert_matches_fused(&trace, FrontendConfig::table1());
+    }
+
+    #[test]
+    #[should_panic(expected = "different trace")]
+    fn run_events_rejects_a_stream_of_another_trace() {
+        let events = FrontendEvents::build(&loop_trace(8, 2, 1));
+        Frontend::new(FrontendConfig::table1(), LruPolicy::new()).run_events(
+            &loop_trace(8, 3, 1),
+            &events,
+            None,
+        );
     }
 
     #[test]

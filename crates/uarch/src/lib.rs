@@ -17,6 +17,14 @@
 //! with constant penalties — DESIGN.md §2 explains why this preserves the
 //! paper's *relative* speedups.
 //!
+//! A run has two stages ([`frontend`]): [`FrontendEvents::build`] runs the
+//! structures no BTB policy can influence (TAGE, the I-cache hierarchy,
+//! the IBTB, the RAS) once per trace, and [`Frontend::run_events`] replays
+//! that stream under one BTB organization. A policy comparison builds once
+//! and replays per policy; [`Frontend::run`] does both for a single run.
+//! [`reference::FusedFrontend`] keeps the single fused loop as the
+//! differential-test oracle.
+//!
 //! # Examples
 //!
 //! ```
@@ -39,10 +47,11 @@ pub mod frontend;
 pub mod ibtb;
 pub mod prefetch;
 pub mod ras;
+pub mod reference;
 pub mod report;
 pub mod tage;
 pub mod timing;
 
-pub use frontend::{Frontend, FrontendConfig, PerfectOptions};
+pub use frontend::{Frontend, FrontendConfig, FrontendEvents, PerfectOptions};
 pub use report::SimReport;
 pub use timing::TimingConfig;

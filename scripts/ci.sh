@@ -32,6 +32,9 @@ cargo build --workspace --release
 echo "==> cargo test"
 cargo test --workspace --quiet
 
+echo "==> perfbench self-test (tiny scale: simulated-counter digests of the six policies, metric contract)"
+python3 perfbench/selftest.py
+
 echo "==> run-state isolation (lib tests 5x at default test parallelism; a shared-state race fails here)"
 for run in 1 2 3 4 5; do
     echo "    pass $run/5"
