@@ -1,17 +1,24 @@
 //! Smoke-runs every figure harness at a tiny scale and checks structural
 //! and directional invariants of the produced data.
 
+use sim_support::assert_snapshot;
 use thermometer_bench::{figure_by_id, FigureResult, Scale, FIGURE_IDS};
 
 fn run(id: &str, scale: &Scale) -> Vec<FigureResult> {
     figure_by_id(id, scale).unwrap_or_else(|| panic!("unknown figure {id}"))
 }
 
+/// Also pins the rendered markdown of every figure at smoke scale, so a
+/// refactor that should not move a number is checked byte for byte. Bless
+/// intentional changes with
+/// `UPDATE_GOLDENS=1 cargo test -p thermometer-bench --test figures_smoke`.
 #[test]
 fn every_figure_produces_rows_and_columns() {
     let scale = Scale::smoke();
+    let mut markdown = String::new();
     for id in FIGURE_IDS {
         for fig in run(id, &scale) {
+            markdown.push_str(&fig.to_markdown());
             assert!(!fig.rows.is_empty(), "{id}: no rows");
             assert!(!fig.columns.is_empty(), "{id}: no columns");
             for row in &fig.rows {
@@ -29,6 +36,7 @@ fn every_figure_produces_rows_and_columns() {
             }
         }
     }
+    assert_snapshot!("figures_smoke", markdown);
 }
 
 #[test]
