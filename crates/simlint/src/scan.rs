@@ -111,6 +111,12 @@ enum Mode {
     Char,
 }
 
+/// Blanks one non-code char with one space per UTF-8 byte, so byte
+/// columns in [`Line::code`] match the source.
+fn blank(code: &mut String, c: char) {
+    code.extend(std::iter::repeat_n(' ', c.len_utf8()));
+}
+
 /// Scans `source` into per-line code/comment channels.
 pub fn scan(source: &str) -> Scanned {
     let mut lines: Vec<Line> = Vec::new();
@@ -202,8 +208,10 @@ pub fn scan(source: &str) -> Scanned {
                             mode = Mode::Char;
                             code.push(' ');
                             i += 1;
-                        } else if bytes.get(i + 2) == Some(&'\'') && next.is_some() {
-                            code.push_str("   ");
+                        } else if let (Some(x), Some('\'')) = (next, bytes.get(i + 2).copied()) {
+                            code.push(' ');
+                            blank(&mut code, x);
+                            code.push(' ');
                             i += 3;
                         } else {
                             code.push('\'');
@@ -218,7 +226,7 @@ pub fn scan(source: &str) -> Scanned {
             }
             Mode::LineComment { .. } => {
                 comment.push(c);
-                code.push(' ');
+                blank(&mut code, c);
                 i += 1;
             }
             Mode::BlockComment { depth } => {
@@ -238,7 +246,7 @@ pub fn scan(source: &str) -> Scanned {
                     i += 2;
                 } else {
                     comment.push(c);
-                    code.push(' ');
+                    blank(&mut code, c);
                     i += 1;
                 }
             }
@@ -258,7 +266,7 @@ pub fn scan(source: &str) -> Scanned {
                     code.push(' ');
                     i += 1;
                 } else {
-                    code.push(' ');
+                    blank(&mut code, c);
                     i += 1;
                 }
             }
@@ -274,7 +282,7 @@ pub fn scan(source: &str) -> Scanned {
                         continue;
                     }
                 }
-                code.push(' ');
+                blank(&mut code, c);
                 i += 1;
             }
             Mode::Char => {
@@ -286,7 +294,7 @@ pub fn scan(source: &str) -> Scanned {
                     code.push(' ');
                     i += 1;
                 } else {
-                    code.push(' ');
+                    blank(&mut code, c);
                     i += 1;
                 }
             }
@@ -409,6 +417,12 @@ mod tests {
         assert!(!s.lines[0].code.contains("not code"));
         assert!(s.lines[0].code.contains("let t = 1;"));
         assert!(!s.lines[0].has_comment());
+
+        // Non-ASCII literal and comment text keeps byte columns aligned.
+        let src = "let s = \"→→\"; /* é */ let c = '→'; let t = Instant::now(); // ü";
+        let line = &scan(src).lines[0];
+        assert_eq!(line.code.len(), src.len());
+        assert_eq!(line.code.find("Instant"), src.find("Instant"));
     }
 
     #[test]
