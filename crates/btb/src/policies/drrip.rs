@@ -46,7 +46,7 @@ impl Drrip {
     }
 
     /// A DRRIP whose set dueling is pinned to the SRRIP flavour: every set
-    /// inserts at [`RRPV_LONG`], exactly like [`Srrip`](crate::policies::Srrip).
+    /// inserts at `RRPV_LONG`, exactly like [`Srrip`](crate::policies::Srrip).
     /// Used by the differential tests — with the selector frozen, DRRIP must
     /// be *behaviourally identical* to SRRIP, which pins the shared RRPV
     /// machinery (victim scan, aging, hit promotion) against divergence.

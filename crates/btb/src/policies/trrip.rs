@@ -54,7 +54,7 @@ impl Trrip {
         Self::default()
     }
 
-    /// A TRRIP whose temperature tables are pinned to [`SRRIP_CLASS`]:
+    /// A TRRIP whose temperature tables are pinned to `SRRIP_CLASS`:
     /// every class inserts long and promotes to near-immediate, exactly
     /// like [`Srrip`](crate::policies::Srrip). Used by the differential
     /// tests — with the temperature signal frozen, TRRIP must be

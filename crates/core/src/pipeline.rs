@@ -47,7 +47,7 @@ impl Default for PipelineConfig {
 ///
 /// This list is one leg of the `[registry.policy-zoo]` declared in
 /// `simlint.toml`: simlint's R-rules hold it byte-consistent with the
-/// [`PolicyKind`](crate::policy_kind::PolicyKind) variants (R01/R02), the
+/// [`PolicyKind`] variants (R01/R02), the
 /// `each_kind!` dispatch arms (R03), the differential-test batteries
 /// (R04), and the figure suite (R05). A half-added policy fails `cargo
 /// test -q` before it compiles into a silently unplotted zoo member, so

@@ -96,7 +96,7 @@ impl Hasher for FxHasher {
     }
 }
 
-/// `BuildHasher` producing [`FxHasher`]s from the fixed [`SEED`]. The unit
+/// `BuildHasher` producing [`FxHasher`]s from the fixed `SEED`. The unit
 /// struct is `Default`, so `DetHashMap::default()` replaces
 /// `HashMap::new()`.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]

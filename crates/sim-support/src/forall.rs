@@ -4,7 +4,7 @@
 //! A property test is three pieces: a *generator* drawing a random input
 //! from a [`SimRng`], a *property* asserting over that input, and (optional)
 //! a *shrinker* proposing smaller variants of a failing input. The
-//! [`forall!`] macro wires them up:
+//! [`forall!`](macro@crate::forall) macro wires them up:
 //!
 //! ```
 //! use sim_support::forall;
@@ -33,8 +33,8 @@ use crate::rng::SimRng;
 /// Environment variable that replays one specific failing case.
 pub const SEED_ENV: &str = "FORALL_SEED";
 
-/// Runs `cases` property-test cases. Prefer the [`forall!`] macro, which
-/// fills in `location` for you.
+/// Runs `cases` property-test cases. Prefer the
+/// [`forall!`](macro@crate::forall) macro, which fills in `location` for you.
 ///
 /// # Panics
 ///

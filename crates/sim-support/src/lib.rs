@@ -9,12 +9,12 @@
 //! * [`rng`] — a splittable [SplitMix64]-seeded xoshiro256++ generator
 //!   ([`SimRng`]) with the uniform-range, float, bool and shuffle surface the
 //!   workload generators need.
-//! * [`forall`] — a seeded property-test harness (the [`forall!`] macro):
+//! * [`forall`](mod@forall) — a seeded property-test harness (the [`forall!`] macro):
 //!   deterministic case generation, shrinking by halving, and a replayable
 //!   failure seed printed on panic.
 //! * [`golden`] — golden-file snapshots (the [`assert_snapshot!`] macro):
 //!   diffs against `tests/goldens/`, blessed with `UPDATE_GOLDENS=1`.
-//! * [`bench`] — a micro-benchmark harness (warmup + timed iterations,
+//! * [`bench`](mod@bench) — a micro-benchmark harness (warmup + timed iterations,
 //!   median/MAD) writing machine-readable JSON under `results/`.
 //! * [`pool`] — a work-stealing [`ThreadPool`] whose [`pool::par_map`]
 //!   gathers results in submission order, so going parallel cannot perturb

@@ -18,6 +18,9 @@ cargo fmt --all --check
 echo "==> cargo clippy (deny warnings)"
 cargo clippy --workspace --all-targets -- -D warnings
 
+echo "==> cargo doc (deny warnings: a doc link to a removed item fails here)"
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
+
 echo "==> simlint (determinism, safety, registry & hot-path rules)"
 cargo run -p simlint --release -- --format json
 mkdir -p results
