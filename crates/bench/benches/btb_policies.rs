@@ -7,9 +7,7 @@
 
 use std::hint::black_box;
 
-use btb_model::policies::{
-    BeladyOpt, Ghrp, GhrpConfig, Hawkeye, HawkeyeConfig, Lru, Random, Srrip, Trrip,
-};
+use btb_model::policies::{BeladyOpt, Ghrp, Hawkeye, Lru, Random, Srrip, Trrip};
 use btb_model::{AccessContext, Btb, BtbConfig, ReplacementPolicy};
 use btb_trace::{NextUseOracle, Trace};
 use btb_workloads::{AppSpec, InputConfig};
@@ -71,12 +69,8 @@ fn main() {
     harness.bench("random", accesses, || drive(&ctxs, Random::with_seed(7)));
     harness.bench("srrip", accesses, || drive(&ctxs, Srrip::new()));
     harness.bench("trrip", accesses, || drive(&ctxs, Trrip::new()));
-    harness.bench("ghrp", accesses, || {
-        drive(&ctxs, Ghrp::new(GhrpConfig::default()))
-    });
-    harness.bench("hawkeye", accesses, || {
-        drive(&ctxs, Hawkeye::new(HawkeyeConfig::default()))
-    });
+    harness.bench("ghrp", accesses, || drive(&ctxs, Ghrp::default()));
+    harness.bench("hawkeye", accesses, || drive(&ctxs, Hawkeye::default()));
     harness.bench("opt", accesses, || drive(&ctxs, BeladyOpt::new()));
     harness.bench("thermometer", accesses, || {
         drive(&ctxs, ThermometerPolicy::new())

@@ -21,6 +21,7 @@ use btb_trace::Trace;
 use btb_workloads::{AppSpec, InputConfig};
 use sim_support::BenchHarness;
 use thermometer::pipeline::{Pipeline, PipelineConfig};
+use thermometer::ThermometerPolicy;
 use thermometer_bench::{run_figure, RunCtx, Scale};
 use uarch_sim::{Frontend, FrontendConfig};
 
@@ -47,7 +48,7 @@ fn main() {
     harness.bench("full_pipeline_profile_plus_sim", records, || {
         let pipeline = Pipeline::new(PipelineConfig::default());
         let hints = pipeline.profile_to_hints(&trace);
-        black_box(pipeline.run_thermometer(&trace, &hints))
+        black_box(pipeline.run(&trace, ThermometerPolicy::new(), Some(&hints)))
     });
     let hints = Pipeline::default().profile_to_hints(&trace);
     harness.bench("six_policies", records, || {
@@ -60,7 +61,7 @@ fn main() {
                     .expect("known policy")
             })
             .collect();
-        reports.push(pipeline.run_thermometer(&trace, &hints));
+        reports.push(pipeline.run(&trace, ThermometerPolicy::new(), Some(&hints)));
         black_box(reports)
     });
 

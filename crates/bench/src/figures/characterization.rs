@@ -1,9 +1,8 @@
 //! Figures 1–9: the characterization study (§2 of the paper).
 
-use btb_model::policies::BeladyOpt;
+use btb_model::policies::{BeladyOpt, Ghrp, Hawkeye, Lru, Srrip};
 use btb_model::reuse::ReuseAnalysis;
 use btb_model::BtbConfig;
-use btb_trace::NextUseOracle;
 use thermometer::analysis;
 use thermometer::pipeline::{Pipeline, PipelineConfig};
 use thermometer::{OptProfile, TemperatureConfig};
@@ -20,13 +19,15 @@ pub fn fig01(ctx: &mut RunCtx, scale: &Scale) -> FigureResult {
     let rows = per_app(ctx, "fig01", &scale.apps, |spec| {
         let pipeline = Pipeline::new(PipelineConfig::default());
         let trace = test_trace(spec, scale);
-        let lru = pipeline.run_lru(&trace);
-        let values = vec![
-            pipeline.run_srrip(&trace).speedup_over(&lru),
-            pipeline.run_ghrp(&trace).speedup_over(&lru),
-            pipeline.run_hawkeye(&trace).speedup_over(&lru),
-            pipeline.run_opt(&trace).speedup_over(&lru),
-        ];
+        let lru = pipeline.run(&trace, Lru::new(), None);
+        let values = [
+            pipeline.run(&trace, Srrip::new(), None),
+            pipeline.run(&trace, Ghrp::default(), None),
+            pipeline.run(&trace, Hawkeye::default(), None),
+            pipeline.run(&trace, BeladyOpt::new(), None),
+        ]
+        .map(|r| r.speedup_over(&lru))
+        .to_vec();
         Row::new(spec.name.clone(), values)
     });
     let mut fig = FigureResult {
@@ -53,7 +54,7 @@ pub fn fig02(ctx: &mut RunCtx, scale: &Scale) -> FigureResult {
     let rows = per_app(ctx, "fig02", &scale.apps, |spec| {
         let pipeline = Pipeline::new(PipelineConfig::default());
         let trace = test_trace(spec, scale);
-        let lru = pipeline.run_lru(&trace);
+        let lru = pipeline.run(&trace, Lru::new(), None);
         let perfect = |opts: PerfectOptions| pipeline.run_perfect(&trace, opts).speedup_over(&lru);
         Row::new(
             spec.name.clone(),
@@ -97,7 +98,7 @@ pub fn fig03(ctx: &mut RunCtx, scale: &Scale) -> FigureResult {
     let rows = per_app(ctx, "fig03", &scale.apps, |spec| {
         let pipeline = Pipeline::new(PipelineConfig::default());
         let trace = test_trace(spec, scale);
-        let report = pipeline.run_lru(&trace);
+        let report = pipeline.run(&trace, Lru::new(), None);
         Row::new(spec.name.clone(), vec![report.l2_impki()])
     });
     FigureResult {
@@ -122,47 +123,34 @@ pub fn fig04(ctx: &mut RunCtx, scale: &Scale) -> FigureResult {
         let pipeline = Pipeline::new(PipelineConfig::default());
         let trace = test_trace(spec, scale);
         let config = pipeline.config().frontend;
-        let lru = pipeline.run_lru(&trace);
+        let lru = pipeline.run(&trace, Lru::new(), None);
 
-        let confluence_lru = pipeline
-            .run_custom(
-                &trace,
-                btb_model::policies::Lru::new(),
-                None,
-                false,
-                Some(Box::new(Confluence::new())),
-            )
-            .speedup_over(&lru);
-
-        let shotgun_lru = {
-            let shotgun = ShotgunBtb::new(
-                config.btb,
-                btb_model::policies::Lru::new(),
-                btb_model::policies::Lru::new(),
-            );
-            let mut fe = Frontend::with_btb(config, shotgun);
-            pipeline.simulate(&mut fe, &trace, None).speedup_over(&lru)
+        let confluence_lru = {
+            let mut fe = Frontend::new(config, Lru::new());
+            fe.set_prefetcher(Box::new(Confluence::new()));
+            pipeline.simulate(&mut fe, &trace).speedup_over(&lru)
         };
 
-        let opt = pipeline.run_opt(&trace).speedup_over(&lru);
+        let shotgun_lru = {
+            let shotgun = ShotgunBtb::new(config.btb, Lru::new(), Lru::new());
+            let mut fe = Frontend::with_btb(config, shotgun);
+            pipeline.simulate(&mut fe, &trace).speedup_over(&lru)
+        };
 
-        let confluence_opt = pipeline
-            .run_custom(
-                &trace,
-                BeladyOpt::new(),
-                None,
-                true,
-                Some(Box::new(Confluence::new())),
-            )
+        let opt = pipeline
+            .run(&trace, BeladyOpt::new(), None)
             .speedup_over(&lru);
+
+        let confluence_opt = {
+            let mut fe = Frontend::new(config, BeladyOpt::new());
+            fe.set_prefetcher(Box::new(Confluence::new()));
+            pipeline.simulate(&mut fe, &trace).speedup_over(&lru)
+        };
 
         let shotgun_opt = {
             let shotgun = ShotgunBtb::new(config.btb, BeladyOpt::new(), BeladyOpt::new());
             let mut fe = Frontend::with_btb(config, shotgun);
-            let oracle = NextUseOracle::build(&trace);
-            pipeline
-                .simulate(&mut fe, &trace, Some(&oracle))
-                .speedup_over(&lru)
+            pipeline.simulate(&mut fe, &trace).speedup_over(&lru)
         };
 
         let perfect = pipeline

@@ -4,7 +4,7 @@
 //! *training* execution (input `#0`); the measured execution is a different
 //! input (`#1` by default, `#1..#3` for Fig. 13).
 
-use btb_model::policies::Lru;
+use btb_model::policies::{BeladyOpt, Ghrp, Hawkeye, Lru, Srrip};
 use btb_model::BtbConfig;
 use btb_workloads::InputConfig;
 use thermometer::accuracy::measure_accuracy;
@@ -26,17 +26,19 @@ pub fn fig11(ctx: &mut RunCtx, scale: &Scale) -> FigureResult {
         let test = test_trace(spec, scale);
         let hints = pipeline.profile_to_hints(&train);
         let hints_iso = iso.profile_to_hints(&train);
-        let lru = pipeline.run_lru(&test);
+        let lru = pipeline.run(&test, Lru::new(), None);
         Row::new(
             spec.name.clone(),
-            vec![
-                pipeline.run_srrip(&test).speedup_over(&lru),
-                pipeline.run_ghrp(&test).speedup_over(&lru),
-                pipeline.run_hawkeye(&test).speedup_over(&lru),
-                pipeline.run_thermometer(&test, &hints).speedup_over(&lru),
-                iso.run_thermometer(&test, &hints_iso).speedup_over(&lru),
-                pipeline.run_opt(&test).speedup_over(&lru),
-            ],
+            [
+                pipeline.run(&test, Srrip::new(), None),
+                pipeline.run(&test, Ghrp::default(), None),
+                pipeline.run(&test, Hawkeye::default(), None),
+                pipeline.run(&test, ThermometerPolicy::new(), Some(&hints)),
+                iso.run(&test, ThermometerPolicy::new(), Some(&hints_iso)),
+                pipeline.run(&test, BeladyOpt::new(), None),
+            ]
+            .map(|r| r.speedup_over(&lru))
+            .to_vec(),
         )
     });
     let mut fig = FigureResult {
@@ -73,18 +75,18 @@ pub fn fig12(ctx: &mut RunCtx, scale: &Scale) -> FigureResult {
         let train = train_trace(spec, scale);
         let test = test_trace(spec, scale);
         let hints = pipeline.profile_to_hints(&train);
-        let lru = pipeline.run_lru(&test);
+        let lru = pipeline.run(&test, Lru::new(), None);
         Row::new(
             spec.name.clone(),
-            vec![
-                pipeline.run_srrip(&test).miss_reduction_over(&lru),
-                pipeline.run_ghrp(&test).miss_reduction_over(&lru),
-                pipeline.run_hawkeye(&test).miss_reduction_over(&lru),
-                pipeline
-                    .run_thermometer(&test, &hints)
-                    .miss_reduction_over(&lru),
-                pipeline.run_opt(&test).miss_reduction_over(&lru),
-            ],
+            [
+                pipeline.run(&test, Srrip::new(), None),
+                pipeline.run(&test, Ghrp::default(), None),
+                pipeline.run(&test, Hawkeye::default(), None),
+                pipeline.run(&test, ThermometerPolicy::new(), Some(&hints)),
+                pipeline.run(&test, BeladyOpt::new(), None),
+            ]
+            .map(|r| r.miss_reduction_over(&lru))
+            .to_vec(),
         )
     });
     let mut fig = FigureResult {
@@ -117,8 +119,10 @@ pub fn fig13(ctx: &mut RunCtx, scale: &Scale) -> FigureResult {
         for input in 1..=3u32 {
             let test = spec.generate(InputConfig::input(input), scale.trace_len);
             let same_hints = pipeline.profile_to_hints(&test);
-            let lru = pipeline.run_lru(&test);
-            let opt_speedup = pipeline.run_opt(&test).speedup_over(&lru);
+            let lru = pipeline.run(&test, Lru::new(), None);
+            let opt_speedup = pipeline
+                .run(&test, BeladyOpt::new(), None)
+                .speedup_over(&lru);
             let pct = |speedup: f64| {
                 if opt_speedup.abs() < 1e-9 {
                     0.0
@@ -129,12 +133,12 @@ pub fn fig13(ctx: &mut RunCtx, scale: &Scale) -> FigureResult {
             rows.push(Row::new(
                 format!("{} #{input}", spec.name),
                 vec![
-                    pct(pipeline.run_srrip(&test).speedup_over(&lru)),
+                    pct(pipeline.run(&test, Srrip::new(), None).speedup_over(&lru)),
                     pct(pipeline
-                        .run_thermometer(&test, &train_hints)
+                        .run(&test, ThermometerPolicy::new(), Some(&train_hints))
                         .speedup_over(&lru)),
                     pct(pipeline
-                        .run_thermometer(&test, &same_hints)
+                        .run(&test, ThermometerPolicy::new(), Some(&same_hints))
                         .speedup_over(&lru)),
                 ],
             ));

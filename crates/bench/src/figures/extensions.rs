@@ -11,7 +11,9 @@
 //!   two-level BTB organizations, with transient and temperature-aware
 //!   policies managing the last level.
 
-use btb_model::policies::{Drrip, Fifo, Lru, PseudoLru, Ship, Srrip, Trrip};
+use btb_model::policies::{
+    BeladyOpt, Drrip, Fifo, Ghrp, Hawkeye, Lru, PseudoLru, Ship, Srrip, Trrip,
+};
 use btb_model::{BtbConfig, BtbInterface, ExclusiveTwoLevelBtb, TwoLevelBtb};
 use btb_trace::Trace;
 use thermometer::pipeline::{Pipeline, PipelineConfig};
@@ -31,21 +33,21 @@ pub fn extra_policies(ctx: &mut RunCtx, scale: &Scale) -> FigureResult {
     let rows = per_app(ctx, "extra-policies", &scale.apps, |spec| {
         let pipeline = Pipeline::new(PipelineConfig::default());
         let test = test_trace(spec, scale);
-        let lru = pipeline.run_lru(&test);
+        let lru = pipeline.run(&test, Lru::new(), None);
         Row::new(
             spec.name.clone(),
-            vec![
-                pipeline.run_policy(&test, Fifo::new()).speedup_over(&lru),
-                pipeline
-                    .run_policy(&test, PseudoLru::new())
-                    .speedup_over(&lru),
-                pipeline.run_srrip(&test).speedup_over(&lru),
-                pipeline.run_policy(&test, Drrip::new()).speedup_over(&lru),
-                pipeline.run_policy(&test, Ship::new()).speedup_over(&lru),
-                pipeline.run_ghrp(&test).speedup_over(&lru),
-                pipeline.run_hawkeye(&test).speedup_over(&lru),
-                pipeline.run_opt(&test).speedup_over(&lru),
-            ],
+            [
+                pipeline.run(&test, Fifo::new(), None),
+                pipeline.run(&test, PseudoLru::new(), None),
+                pipeline.run(&test, Srrip::new(), None),
+                pipeline.run(&test, Drrip::new(), None),
+                pipeline.run(&test, Ship::new(), None),
+                pipeline.run(&test, Ghrp::default(), None),
+                pipeline.run(&test, Hawkeye::default(), None),
+                pipeline.run(&test, BeladyOpt::new(), None),
+            ]
+            .map(|r| r.speedup_over(&lru))
+            .to_vec(),
         )
     });
     let mut fig = FigureResult {
@@ -83,20 +85,18 @@ pub fn trrip_grid(ctx: &mut RunCtx, scale: &Scale) -> FigureResult {
         let train = train_trace(spec, scale);
         let test = test_trace(spec, scale);
         let hints = pipeline.profile_to_hints(&train);
-        let lru = pipeline.run_lru(&test);
+        let lru = pipeline.run(&test, Lru::new(), None);
         Row::new(
             spec.name.clone(),
-            vec![
-                pipeline.run_srrip(&test).speedup_over(&lru),
-                pipeline
-                    .run_custom(&test, Trrip::pinned_srrip(), Some(&hints), false, None)
-                    .speedup_over(&lru),
-                pipeline
-                    .run_custom(&test, Trrip::new(), Some(&hints), false, None)
-                    .speedup_over(&lru),
-                pipeline.run_thermometer(&test, &hints).speedup_over(&lru),
-                pipeline.run_opt(&test).speedup_over(&lru),
-            ],
+            [
+                pipeline.run(&test, Srrip::new(), None),
+                pipeline.run(&test, Trrip::pinned_srrip(), Some(&hints)),
+                pipeline.run(&test, Trrip::new(), Some(&hints)),
+                pipeline.run(&test, ThermometerPolicy::new(), Some(&hints)),
+                pipeline.run(&test, BeladyOpt::new(), None),
+            ]
+            .map(|r| r.speedup_over(&lru))
+            .to_vec(),
         )
     });
     let mut fig = FigureResult {
@@ -122,22 +122,19 @@ pub fn trrip_grid(ctx: &mut RunCtx, scale: &Scale) -> FigureResult {
 }
 
 /// Runs one trace through a frontend wrapped around an arbitrary BTB
-/// organization (the multilevel hierarchies are not plain `Btb<P>`, so the
-/// `Pipeline` runners do not apply).
+/// organization (the multilevel hierarchies are not plain `Btb<P>`, so
+/// [`Pipeline::run`] does not apply).
 fn run_hierarchy<B: BtbInterface>(
     pipeline: &Pipeline,
     btb: B,
     trace: &Trace,
     hints: Option<&HintTable>,
-    label: &str,
 ) -> SimReport {
     let mut fe = Frontend::with_btb(pipeline.config().frontend, btb);
     if let Some(h) = hints {
         fe.set_hints(h.to_map());
     }
-    let mut report = pipeline.simulate(&mut fe, trace, None);
-    report.label = label.into();
-    report
+    pipeline.simulate(&mut fe, trace)
 }
 
 /// Extension: inclusive vs exclusive (victim) two-level BTB hierarchies.
@@ -155,59 +152,44 @@ pub fn hierarchy(ctx: &mut RunCtx, scale: &Scale) -> FigureResult {
         let test = test_trace(spec, scale);
         let hints = pipeline.profile_to_hints(&train);
         // Baseline: a monolithic LRU BTB with the L2 geometry.
-        let mono = pipeline.run_lru(&test);
+        let mono = pipeline.run(&test, Lru::new(), None);
         Row::new(
             spec.name.clone(),
-            vec![
-                run_hierarchy(
-                    &pipeline,
-                    TwoLevelBtb::new(l1, l2, Lru::new()),
-                    &test,
-                    None,
-                    "Incl-LRU",
-                )
-                .speedup_over(&mono),
+            [
+                run_hierarchy(&pipeline, TwoLevelBtb::new(l1, l2, Lru::new()), &test, None),
                 run_hierarchy(
                     &pipeline,
                     TwoLevelBtb::new(l1, l2, Trrip::new()),
                     &test,
                     Some(&hints),
-                    "Incl-TRRIP",
-                )
-                .speedup_over(&mono),
+                ),
                 run_hierarchy(
                     &pipeline,
                     ExclusiveTwoLevelBtb::new(l1, l2, Lru::new()),
                     &test,
                     None,
-                    "Excl-LRU",
-                )
-                .speedup_over(&mono),
+                ),
                 run_hierarchy(
                     &pipeline,
                     ExclusiveTwoLevelBtb::new(l1, l2, Srrip::new()),
                     &test,
                     None,
-                    "Excl-SRRIP",
-                )
-                .speedup_over(&mono),
+                ),
                 run_hierarchy(
                     &pipeline,
                     ExclusiveTwoLevelBtb::new(l1, l2, Trrip::new()),
                     &test,
                     Some(&hints),
-                    "Excl-TRRIP",
-                )
-                .speedup_over(&mono),
+                ),
                 run_hierarchy(
                     &pipeline,
                     ExclusiveTwoLevelBtb::new(l1, l2, ThermometerPolicy::new()),
                     &test,
                     Some(&hints),
-                    "Excl-Therm",
-                )
-                .speedup_over(&mono),
-            ],
+                ),
+            ]
+            .map(|r| r.speedup_over(&mono))
+            .to_vec(),
         )
     });
     let mut fig = FigureResult {
@@ -260,16 +242,22 @@ pub fn ablation(ctx: &mut RunCtx, scale: &Scale) -> FigureResult {
         let train = train_trace(spec, scale);
         let test = test_trace(spec, scale);
         let hints = pipeline.profile_to_hints(&train);
-        let lru = pipeline.run_lru(&test);
-        let full = pipeline.run_thermometer(&test, &hints).speedup_over(&lru);
+        let lru = pipeline.run(&test, Lru::new(), None);
+        let full = pipeline
+            .run(&test, ThermometerPolicy::new(), Some(&hints))
+            .speedup_over(&lru);
         let no_bypass = pipeline
-            .run_custom(&test, ThermometerNoBypass::new(), Some(&hints), false, None)
+            .run(&test, ThermometerNoBypass::new(), Some(&hints))
             .speedup_over(&lru);
         let holistic = pipeline
-            .run_custom(&test, HolisticOnly::new(), Some(&hints), false, None)
+            .run(&test, HolisticOnly::new(), Some(&hints))
             .speedup_over(&lru);
         let cv = pipeline
-            .run_thermometer(&test, &cv_hints(&pipeline, &train))
+            .run(
+                &test,
+                ThermometerPolicy::new(),
+                Some(&cv_hints(&pipeline, &train)),
+            )
             .speedup_over(&lru);
         Row::new(spec.name.clone(), vec![full, no_bypass, holistic, cv])
     });

@@ -1,12 +1,13 @@
 //! Figures 19–21: sensitivity studies and prefetcher composition (§4.3).
 
+use btb_model::policies::{BeladyOpt, Lru, Srrip};
 use btb_model::BtbConfig;
 use btb_trace::Trace;
 use btb_workloads::AppSpec;
 use thermometer::pipeline::{Pipeline, PipelineConfig};
-use thermometer::TemperatureConfig;
+use thermometer::{TemperatureConfig, ThermometerPolicy};
 use uarch_sim::prefetch::TwigPrefetcher;
-use uarch_sim::FrontendConfig;
+use uarch_sim::{Frontend, FrontendConfig};
 
 use super::{test_trace, train_trace};
 use crate::scale::Scale;
@@ -34,8 +35,10 @@ fn sweep_apps(scale: &Scale) -> Vec<AppSpec> {
 /// pipeline configuration.
 fn pct_of_opt(pipeline: &Pipeline, train: &Trace, test: &Trace) -> (f64, f64) {
     let hints = pipeline.profile_to_hints(train);
-    let lru = pipeline.run_lru(test);
-    let opt = pipeline.run_opt(test).speedup_over(&lru);
+    let lru = pipeline.run(test, Lru::new(), None);
+    let opt = pipeline
+        .run(test, BeladyOpt::new(), None)
+        .speedup_over(&lru);
     let pct = |speedup: f64| {
         if opt.abs() < 1e-9 {
             0.0
@@ -44,8 +47,10 @@ fn pct_of_opt(pipeline: &Pipeline, train: &Trace, test: &Trace) -> (f64, f64) {
         }
     };
     (
-        pct(pipeline.run_thermometer(test, &hints).speedup_over(&lru)),
-        pct(pipeline.run_srrip(test).speedup_over(&lru)),
+        pct(pipeline
+            .run(test, ThermometerPolicy::new(), Some(&hints))
+            .speedup_over(&lru)),
+        pct(pipeline.run(test, Srrip::new(), None).speedup_over(&lru)),
     )
 }
 
@@ -243,45 +248,28 @@ pub fn fig21(ctx: &mut RunCtx, scale: &Scale) -> FigureResult {
         let train = train_trace(spec, scale);
         let test = test_trace(spec, scale);
         let hints = pipeline.profile_to_hints(&train);
-        let config = pipeline.config().frontend.btb;
-        let twig = || Box::new(TwigPrefetcher::train(&train, config, 16));
+        let config = pipeline.config().frontend;
+        let twig = || Box::new(TwigPrefetcher::train(&train, config.btb, 16));
 
-        let lru_twig = pipeline.run_custom(
-            &test,
-            btb_model::policies::Lru::new(),
-            None,
-            false,
-            Some(twig()),
-        );
-        let srrip_twig = pipeline.run_custom(
-            &test,
-            btb_model::policies::Srrip::new(),
-            None,
-            false,
-            Some(twig()),
-        );
-        let therm_twig = pipeline.run_custom(
-            &test,
-            thermometer::ThermometerPolicy::new(),
-            Some(&hints),
-            false,
-            Some(twig()),
-        );
-        let opt_twig = pipeline.run_custom(
-            &test,
-            btb_model::policies::BeladyOpt::new(),
-            None,
-            true,
-            Some(twig()),
-        );
+        let mut fe = Frontend::new(config, Lru::new());
+        fe.set_prefetcher(twig());
+        let lru_twig = pipeline.simulate(&mut fe, &test);
+        let mut fe = Frontend::new(config, Srrip::new());
+        fe.set_prefetcher(twig());
+        let srrip_twig = pipeline.simulate(&mut fe, &test);
+        let mut fe = Frontend::new(config, ThermometerPolicy::new());
+        fe.set_hints(hints.to_map());
+        fe.set_prefetcher(twig());
+        let therm_twig = pipeline.simulate(&mut fe, &test);
+        let mut fe = Frontend::new(config, BeladyOpt::new());
+        fe.set_prefetcher(twig());
+        let opt_twig = pipeline.simulate(&mut fe, &test);
 
         Row::new(
             spec.name.clone(),
-            vec![
-                srrip_twig.speedup_over(&lru_twig),
-                therm_twig.speedup_over(&lru_twig),
-                opt_twig.speedup_over(&lru_twig),
-            ],
+            [srrip_twig, therm_twig, opt_twig]
+                .map(|r| r.speedup_over(&lru_twig))
+                .to_vec(),
         )
     });
     let mut fig = FigureResult {

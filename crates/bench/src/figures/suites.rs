@@ -1,11 +1,12 @@
 //! Figures 17–18: the CBP-5 and IPC-1 trace-suite validation.
 
+use btb_model::policies::{BeladyOpt, Ghrp, Hawkeye, Lru, Srrip};
 use btb_model::BtbConfig;
 use btb_trace::Trace;
 use btb_workloads::{cbp5_suite, ipc1_suite, SuiteParams};
 use thermometer::pipeline::{Pipeline, PipelineConfig};
 use thermometer::temperature::{default_candidates, two_fold_thresholds};
-use thermometer::{HintTable, OptProfile, TemperatureConfig};
+use thermometer::{HintTable, OptProfile, TemperatureConfig, ThermometerPolicy};
 
 use crate::scale::Scale;
 use crate::text::{FigureResult, Row};
@@ -37,10 +38,10 @@ pub fn fig17(ctx: &mut RunCtx, scale: &Scale) -> FigureResult {
 
     let per_trace: Vec<(f64, f64, f64)> = per_app_traces(ctx, "fig17", &traces, |trace| {
         let pipeline = Pipeline::new(PipelineConfig::default());
-        let ghrp = pipeline.run_ghrp(trace);
+        let ghrp = pipeline.run(trace, Ghrp::default(), None);
         let profile = pipeline.profile(trace);
         let fixed_hints = HintTable::from_profile(&profile, &TemperatureConfig::paper_default());
-        let fixed = pipeline.run_thermometer(trace, &fixed_hints);
+        let fixed = pipeline.run(trace, ThermometerPolicy::new(), Some(&fixed_hints));
 
         // Two-fold cross-validation over the trace halves.
         let half = trace.len() / 2;
@@ -50,7 +51,7 @@ pub fn fig17(ctx: &mut RunCtx, scale: &Scale) -> FigureResult {
         let p2 = OptProfile::measure(&second, BtbConfig::table1());
         let (y1, y2) = two_fold_thresholds(&p1, &p2, &default_candidates());
         let cv_hints = HintTable::from_profile(&profile, &TemperatureConfig::new(vec![y1, y2]));
-        let cv = pipeline.run_thermometer(trace, &cv_hints);
+        let cv = pipeline.run(trace, ThermometerPolicy::new(), Some(&cv_hints));
 
         let reduction = |r: &uarch_sim::SimReport| r.miss_reduction_over(&ghrp);
         (reduction(&fixed), reduction(&cv), ghrp.btb_mpki())
@@ -120,15 +121,17 @@ pub fn fig18(ctx: &mut RunCtx, scale: &Scale) -> FigureResult {
 
     let per_trace: Vec<(Vec<f64>, f64)> = per_app_traces(ctx, "fig18", &traces, |trace| {
         let pipeline = Pipeline::new(PipelineConfig::default());
-        let lru = pipeline.run_lru(trace);
+        let lru = pipeline.run(trace, Lru::new(), None);
         let hints = pipeline.profile_to_hints(trace);
-        let speedups = vec![
-            pipeline.run_srrip(trace).speedup_over(&lru),
-            pipeline.run_ghrp(trace).speedup_over(&lru),
-            pipeline.run_hawkeye(trace).speedup_over(&lru),
-            pipeline.run_thermometer(trace, &hints).speedup_over(&lru),
-            pipeline.run_opt(trace).speedup_over(&lru),
-        ];
+        let speedups = [
+            pipeline.run(trace, Srrip::new(), None),
+            pipeline.run(trace, Ghrp::default(), None),
+            pipeline.run(trace, Hawkeye::default(), None),
+            pipeline.run(trace, ThermometerPolicy::new(), Some(&hints)),
+            pipeline.run(trace, BeladyOpt::new(), None),
+        ]
+        .map(|r| r.speedup_over(&lru))
+        .to_vec();
         (speedups, lru.btb_mpki())
     });
 

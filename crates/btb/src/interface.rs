@@ -45,6 +45,11 @@ pub trait BtbInterface {
 
     /// Empties storage and resets statistics and policy state.
     fn clear(&mut self);
+
+    /// Whether any replacement policy inside this organization reads the
+    /// next-use oracle ([`ReplacementPolicy::needs_oracle`]). Composite
+    /// organizations OR their parts.
+    fn needs_oracle(&self) -> bool;
 }
 
 impl<P: ReplacementPolicy> BtbInterface for Btb<P> {
@@ -79,6 +84,10 @@ impl<P: ReplacementPolicy> BtbInterface for Btb<P> {
     fn clear(&mut self) {
         Btb::clear(self);
     }
+
+    fn needs_oracle(&self) -> bool {
+        self.policy().needs_oracle()
+    }
 }
 
 #[cfg(test)]
@@ -99,6 +108,7 @@ mod tests {
         assert!(btb.access(&ctx).is_hit());
         assert_eq!(btb.stats().hits, 1);
         assert_eq!(btb.capacity(), 8);
+        assert!(!btb.needs_oracle());
         btb.clear();
         assert!(btb.probe(0x40).is_none());
     }

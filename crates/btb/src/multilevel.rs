@@ -154,6 +154,10 @@ impl<P: ReplacementPolicy> BtbInterface for TwoLevelBtb<P> {
         self.l1_hits = 0;
         self.l2_hits = 0;
     }
+
+    fn needs_oracle(&self) -> bool {
+        self.l1.needs_oracle() || self.l2.needs_oracle()
+    }
 }
 
 /// A Micro BTB-style exclusive (victim) two-level BTB: a branch is
@@ -309,6 +313,10 @@ impl<P: ReplacementPolicy> BtbInterface for ExclusiveTwoLevelBtb<P> {
         self.l1_hits = 0;
         self.l2_hits = 0;
         self.dropped_victims = 0;
+    }
+
+    fn needs_oracle(&self) -> bool {
+        self.l1.needs_oracle() || self.l2.needs_oracle()
     }
 }
 

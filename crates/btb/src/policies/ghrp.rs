@@ -63,6 +63,13 @@ pub struct Ghrp {
     clock: u64,
 }
 
+/// GHRP with [`GhrpConfig::default`] (the paper's configuration).
+impl Default for Ghrp {
+    fn default() -> Self {
+        Self::new(GhrpConfig::default())
+    }
+}
+
 impl Ghrp {
     /// Creates a GHRP policy with the given configuration.
     pub fn new(config: GhrpConfig) -> Self {
@@ -238,7 +245,7 @@ mod tests {
 
     #[test]
     fn counters_saturate() {
-        let mut p = Ghrp::new(GhrpConfig::default());
+        let mut p = Ghrp::default();
         p.reset(&BtbConfig::new(4, 4).geometry());
         for _ in 0..100 {
             p.train(42, true);
@@ -259,7 +266,7 @@ mod tests {
     #[test]
     fn falls_back_to_lru_when_nothing_predicted_dead() {
         // Without training, GHRP behaves exactly like LRU.
-        let mut ghrp_btb = Btb::new(BtbConfig::new(4, 4), Ghrp::new(GhrpConfig::default()));
+        let mut ghrp_btb = Btb::new(BtbConfig::new(4, 4), Ghrp::default());
         let mut lru_btb = Btb::new(BtbConfig::new(4, 4), crate::policies::Lru::new());
         // Unique PCs only: no hits, so no live/dead training signal ever
         // flips a prediction (dead training only on replace of unreferenced
@@ -275,7 +282,7 @@ mod tests {
 
     #[test]
     fn history_affects_signature() {
-        let mut p = Ghrp::new(GhrpConfig::default());
+        let mut p = Ghrp::default();
         p.reset(&BtbConfig::new(4, 4).geometry());
         let s1 = p.signature(0x1000);
         p.push_history(0xabcd);

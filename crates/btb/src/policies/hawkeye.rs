@@ -110,6 +110,13 @@ pub struct Hawkeye {
     ways: usize,
 }
 
+/// Hawkeye with [`HawkeyeConfig::default`].
+impl Default for Hawkeye {
+    fn default() -> Self {
+        Self::new(HawkeyeConfig::default())
+    }
+}
+
 impl Hawkeye {
     /// Creates a Hawkeye policy.
     pub fn new(config: HawkeyeConfig) -> Self {
@@ -272,7 +279,7 @@ mod tests {
 
     #[test]
     fn predictor_trains_toward_averse() {
-        let mut h = Hawkeye::new(HawkeyeConfig::default());
+        let mut h = Hawkeye::default();
         h.reset(&BtbConfig::new(64, 4).geometry());
         assert!(
             h.predict_friendly(0x123),
@@ -286,7 +293,7 @@ mod tests {
 
     #[test]
     fn averse_entries_are_victimized_first() {
-        let mut h = Hawkeye::new(HawkeyeConfig::default());
+        let mut h = Hawkeye::default();
         h.reset(&BtbConfig::new(4, 4).geometry());
         // Make pc 0x50 averse.
         for _ in 0..8 {

@@ -187,8 +187,8 @@ mod tests {
         smoke(Lru::new());
         smoke(Random::with_seed(7));
         smoke(Srrip::new());
-        smoke(Ghrp::new(GhrpConfig::default()));
-        smoke(Hawkeye::new(HawkeyeConfig::default()));
+        smoke(Ghrp::default());
+        smoke(Hawkeye::default());
         smoke(BeladyOpt::new());
         smoke(Fifo::new());
         smoke(PseudoLru::new());
@@ -202,8 +202,8 @@ mod tests {
     fn policies_report_paper_names() {
         assert_eq!(Lru::new().name(), "LRU");
         assert_eq!(Srrip::new().name(), "SRRIP");
-        assert_eq!(Ghrp::new(GhrpConfig::default()).name(), "GHRP");
-        assert_eq!(Hawkeye::new(HawkeyeConfig::default()).name(), "Hawkeye");
+        assert_eq!(Ghrp::default().name(), "GHRP");
+        assert_eq!(Hawkeye::default().name(), "Hawkeye");
         assert_eq!(BeladyOpt::new().name(), "OPT");
         assert_eq!(Random::with_seed(1).name(), "Random");
         assert_eq!(Fifo::new().name(), "FIFO");
@@ -226,8 +226,8 @@ mod tests {
         }
         assert_eq!(run(Lru::new()), 0);
         assert_eq!(run(Srrip::new()), 0);
-        assert_eq!(run(Ghrp::new(GhrpConfig::default())), 0);
-        assert_eq!(run(Hawkeye::new(HawkeyeConfig::default())), 0);
+        assert_eq!(run(Ghrp::default()), 0);
+        assert_eq!(run(Hawkeye::default()), 0);
         assert_eq!(run(BeladyOpt::new()), 0);
     }
 
@@ -258,8 +258,8 @@ mod tests {
         assert_eq!(run(Srrip::new()), 4);
         assert_eq!(run(BeladyOpt::new()), 4);
         // GHRP and Hawkeye never evict from a set that is not full either.
-        assert_eq!(run(Ghrp::new(GhrpConfig::default())), 4);
-        assert_eq!(run(Hawkeye::new(HawkeyeConfig::default())), 4);
+        assert_eq!(run(Ghrp::default()), 4);
+        assert_eq!(run(Hawkeye::default()), 4);
     }
 
     /// Naive readable reference for [`min_way`]: the iterator form the

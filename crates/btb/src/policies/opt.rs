@@ -38,6 +38,10 @@ impl ReplacementPolicy for BeladyOpt {
         "OPT"
     }
 
+    fn needs_oracle(&self) -> bool {
+        true
+    }
+
     fn reset(&mut self, geometry: &Geometry) {
         self.next_use = WayTable::sized(geometry);
     }
@@ -146,9 +150,7 @@ mod tests {
     /// any stream (optimality, spot-checked across the whole zoo).
     #[test]
     fn prop_opt_dominates_every_online_policy() {
-        use crate::policies::{
-            Drrip, Fifo, Ghrp, GhrpConfig, Hawkeye, HawkeyeConfig, PseudoLru, Random, Ship, Srrip,
-        };
+        use crate::policies::{Drrip, Fifo, Ghrp, Hawkeye, PseudoLru, Random, Ship, Srrip};
         forall!(cases: 48, gen: |rng| {
             let len = rng.gen_range(1usize..300);
             (0..len).map(|_| rng.gen_range(0u64..24)).collect::<Vec<u64>>()
@@ -164,8 +166,8 @@ mod tests {
                 ("SRRIP", hits(Srrip::new(), config, &oracle)),
                 ("DRRIP", hits(Drrip::new(), config, &oracle)),
                 ("SHiP", hits(Ship::new(), config, &oracle)),
-                ("GHRP", hits(Ghrp::new(GhrpConfig::default()), config, &oracle)),
-                ("Hawkeye", hits(Hawkeye::new(HawkeyeConfig::default()), config, &oracle)),
+                ("GHRP", hits(Ghrp::default(), config, &oracle)),
+                ("Hawkeye", hits(Hawkeye::default(), config, &oracle)),
             ];
             for (name, h) in rivals {
                 assert!(opt >= h, "OPT {opt} < {name} {h} on {pcs:?}");

@@ -85,6 +85,13 @@ pub trait ReplacementPolicy {
     /// next `on_fill` before it can be consulted again. Default: no-op, for
     /// policies without per-way state.
     fn on_invalidate(&mut self, _set: usize, _way: usize, _last: usize) {}
+
+    /// Whether this policy reads [`AccessContext::next_use`], so a run must
+    /// build the [`btb_trace::NextUseOracle`] to drive it. Default: false,
+    /// for every online policy.
+    fn needs_oracle(&self) -> bool {
+        false
+    }
 }
 
 /// Blanket impl so `Box<dyn ReplacementPolicy>` (used by heterogeneous
@@ -116,6 +123,10 @@ impl ReplacementPolicy for Box<dyn ReplacementPolicy> {
 
     fn on_invalidate(&mut self, set: usize, way: usize, last: usize) {
         (**self).on_invalidate(set, way, last);
+    }
+
+    fn needs_oracle(&self) -> bool {
+        (**self).needs_oracle()
     }
 }
 

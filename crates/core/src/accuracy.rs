@@ -68,6 +68,10 @@ impl<P: ReplacementPolicy> ReplacementPolicy for EvictionRecorder<P> {
         self.evictions.push((ctx.access_index, set, evicted.pc));
         self.inner.on_replace(set, way, evicted, ctx);
     }
+
+    fn needs_oracle(&self) -> bool {
+        self.inner.needs_oracle()
+    }
 }
 
 /// Result of an accuracy measurement.

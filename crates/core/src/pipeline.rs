@@ -12,8 +12,8 @@
 use std::cell::RefCell;
 use std::rc::Rc;
 
-use btb_model::policies::{BeladyOpt, Ghrp, GhrpConfig, Hawkeye, HawkeyeConfig, Lru, Srrip};
-use btb_model::{BtbConfig, BtbInterface, ReplacementPolicy};
+use btb_model::policies::Lru;
+use btb_model::{Btb, BtbConfig, BtbInterface, ReplacementPolicy};
 use btb_trace::{NextUseOracle, Trace};
 use uarch_sim::{Frontend, FrontendConfig, FrontendEvents, PerfectOptions, SimReport};
 
@@ -114,91 +114,32 @@ impl Pipeline {
         HintTable::from_profile(&self.profile(trace), &self.config.temperature)
     }
 
-    /// Step 4: simulate the test trace under Thermometer with `hints`.
-    pub fn run_thermometer(&self, trace: &Trace, hints: &HintTable) -> SimReport {
-        self.run_thermometer_detailed(trace, hints).0
+    /// Step 4, or any baseline: simulates `trace` under `policy`, with
+    /// `hints` attached when given, through [`Pipeline::simulate`]. The
+    /// report is labelled with the policy's name.
+    pub fn run<P: ReplacementPolicy>(
+        &self,
+        trace: &Trace,
+        policy: P,
+        hints: Option<&HintTable>,
+    ) -> SimReport {
+        self.run_frontend(
+            &mut Frontend::new(self.config.frontend, policy),
+            trace,
+            hints,
+        )
     }
 
-    /// Like [`Pipeline::run_thermometer`], also returning the replacement
-    /// coverage counters (paper Fig. 15).
+    /// Thermometer with `hints`, also returning the replacement coverage
+    /// counters (paper Fig. 15).
     pub fn run_thermometer_detailed(
         &self,
         trace: &Trace,
         hints: &HintTable,
     ) -> (SimReport, crate::policy::CoverageCounters) {
         let mut fe = Frontend::new(self.config.frontend, ThermometerPolicy::new());
-        fe.set_hints(hints.to_map());
-        let mut report = self.simulate(&mut fe, trace, None);
-        report.label = "Thermometer".into();
-        let coverage = fe.btb().policy().coverage();
-        (report, coverage)
-    }
-
-    /// Runs an arbitrary policy with every optional attachment: Thermometer
-    /// hints, the OPT oracle, and/or a BTB prefetcher. The label is
-    /// `"{policy}+{prefetcher}"` when a prefetcher is attached.
-    pub fn run_custom<P: ReplacementPolicy>(
-        &self,
-        trace: &Trace,
-        policy: P,
-        hints: Option<&HintTable>,
-        with_oracle: bool,
-        prefetcher: Option<Box<dyn uarch_sim::prefetch::Prefetcher>>,
-    ) -> SimReport {
-        let policy_name = policy.name();
-        let mut fe = Frontend::new(self.config.frontend, policy);
-        if let Some(h) = hints {
-            fe.set_hints(h.to_map());
-        }
-        let label = match &prefetcher {
-            Some(p) => format!("{policy_name}+{}", p.name()),
-            None => policy_name.to_owned(),
-        };
-        if let Some(p) = prefetcher {
-            fe.set_prefetcher(p);
-        }
-        let oracle = with_oracle.then(|| NextUseOracle::build(trace));
-        let mut report = self.simulate(&mut fe, trace, oracle.as_ref());
-        report.label = label;
-        report
-    }
-
-    /// Runs an arbitrary policy (no hints, no oracle).
-    pub fn run_policy<P: ReplacementPolicy>(&self, trace: &Trace, policy: P) -> SimReport {
-        let label = policy.name();
-        let mut fe = Frontend::new(self.config.frontend, policy);
-        let mut report = self.simulate(&mut fe, trace, None);
-        report.label = label.into();
-        report
-    }
-
-    /// The LRU baseline every figure normalizes against.
-    pub fn run_lru(&self, trace: &Trace) -> SimReport {
-        self.run_policy(trace, Lru::new())
-    }
-
-    /// SRRIP (best prior work in the paper).
-    pub fn run_srrip(&self, trace: &Trace) -> SimReport {
-        self.run_policy(trace, Srrip::new())
-    }
-
-    /// GHRP (the prior BTB-specific policy).
-    pub fn run_ghrp(&self, trace: &Trace) -> SimReport {
-        self.run_policy(trace, Ghrp::new(GhrpConfig::default()))
-    }
-
-    /// Hawkeye adapted to the BTB.
-    pub fn run_hawkeye(&self, trace: &Trace) -> SimReport {
-        self.run_policy(trace, Hawkeye::new(HawkeyeConfig::default()))
-    }
-
-    /// Belady's OPT (builds the oracle internally).
-    pub fn run_opt(&self, trace: &Trace) -> SimReport {
-        let oracle = NextUseOracle::build(trace);
-        let mut fe = Frontend::new(self.config.frontend, BeladyOpt::new());
-        let mut report = self.simulate(&mut fe, trace, Some(&oracle));
-        report.label = "OPT".into();
-        report
+        let report = self.run_frontend(&mut fe, trace, Some(hints));
+        (report, fe.btb().policy().coverage())
     }
 
     /// Runs the policy named by one of [`POLICY_NAMES`] (the CLI
@@ -218,27 +159,32 @@ impl Pipeline {
         hints: Option<&HintTable>,
     ) -> Option<SimReport> {
         let policy = PolicyKind::by_name(name)?;
-        let label = policy.name();
-        let mut fe = Frontend::new(self.config.frontend, policy);
-        if fe.btb().policy().wants_hints() {
-            let own_hints;
-            let hints = match hints {
-                Some(h) => h,
-                None => {
-                    own_hints = self.profile_to_hints(trace);
-                    &own_hints
-                }
-            };
-            fe.set_hints(hints.to_map());
+        let own_hints;
+        let hints = match hints {
+            _ if !policy.wants_hints() => None,
+            Some(h) => Some(h),
+            None => {
+                own_hints = self.profile_to_hints(trace);
+                Some(&own_hints)
+            }
+        };
+        Some(self.run(trace, policy, hints))
+    }
+
+    /// The shared core of the policy runners: attaches `hints`, simulates,
+    /// and labels the report with the policy's name.
+    fn run_frontend<P: ReplacementPolicy>(
+        &self,
+        fe: &mut Frontend<Btb<P>>,
+        trace: &Trace,
+        hints: Option<&HintTable>,
+    ) -> SimReport {
+        if let Some(h) = hints {
+            fe.set_hints(h.to_map());
         }
-        let oracle = fe
-            .btb()
-            .policy()
-            .needs_oracle()
-            .then(|| NextUseOracle::build(trace));
-        let mut report = self.simulate(&mut fe, trace, oracle.as_ref());
-        report.label = label.into();
-        Some(report)
+        let mut report = self.simulate(fe, trace);
+        report.label = fe.btb().policy().name().into();
+        report
     }
 
     /// A limit-study run (Fig. 2): LRU replacement with perfect structures.
@@ -246,7 +192,7 @@ impl Pipeline {
         let mut config = self.config.frontend;
         config.perfect = perfect;
         let mut fe = Frontend::new(config, Lru::new());
-        let mut report = self.simulate(&mut fe, trace, None);
+        let mut report = self.simulate(&mut fe, trace);
         report.label = match (perfect.btb, perfect.branch_predictor, perfect.icache) {
             (true, false, false) => "Perfect-BTB".into(),
             (false, true, false) => "Perfect-BP".into(),
@@ -259,14 +205,12 @@ impl Pipeline {
     /// Runs `fe` over `trace` — [`Frontend::run`], with the event stream
     /// taken from this pipeline's memo, or built into it when `trace` is
     /// not the trace the memo holds. `fe` may carry any BTB organization,
-    /// prefetcher, hints or configuration.
-    pub fn simulate<B: BtbInterface>(
-        &self,
-        fe: &mut Frontend<B>,
-        trace: &Trace,
-        oracle: Option<&NextUseOracle>,
-    ) -> SimReport {
-        fe.run_events(trace, &self.events(trace), oracle)
+    /// prefetcher, hints or configuration. The next-use oracle is built for
+    /// this run, and dropped after it, exactly when the BTB's policies
+    /// [need it](BtbInterface::needs_oracle).
+    pub fn simulate<B: BtbInterface>(&self, fe: &mut Frontend<B>, trace: &Trace) -> SimReport {
+        let oracle = fe.btb().needs_oracle().then(|| NextUseOracle::build(trace));
+        fe.run_events(trace, &self.events(trace), oracle.as_ref())
     }
 
     /// The memoized event stream of `trace`.
@@ -301,7 +245,12 @@ impl Pipeline {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use btb_model::policies::BeladyOpt;
     use btb_workloads::{AppSpec, InputConfig};
+
+    fn lru_report(p: &Pipeline, trace: &Trace) -> SimReport {
+        p.run(trace, Lru::new(), None)
+    }
 
     fn small_trace(input: u32) -> Trace {
         let spec = AppSpec {
@@ -324,9 +273,9 @@ mod tests {
             ..PipelineConfig::default()
         });
         let hints = p.profile_to_hints(&trace);
-        let lru = p.run_lru(&trace);
-        let therm = p.run_thermometer(&trace, &hints);
-        let opt = p.run_opt(&trace);
+        let lru = lru_report(&p, &trace);
+        let therm = p.run(&trace, ThermometerPolicy::new(), Some(&hints));
+        let opt = p.run(&trace, BeladyOpt::new(), None);
         assert!(
             therm.btb.misses < lru.btb.misses,
             "thermometer misses {} vs lru {}",
@@ -341,10 +290,11 @@ mod tests {
     fn labels_are_set() {
         let trace = small_trace(0);
         let p = Pipeline::new(PipelineConfig::default());
-        assert_eq!(p.run_lru(&trace).label, "LRU");
-        assert_eq!(p.run_opt(&trace).label, "OPT");
+        assert_eq!(lru_report(&p, &trace).label, "LRU");
+        assert_eq!(p.run(&trace, BeladyOpt::new(), None).label, "OPT");
         let hints = p.profile_to_hints(&trace);
-        assert_eq!(p.run_thermometer(&trace, &hints).label, "Thermometer");
+        let therm = p.run(&trace, ThermometerPolicy::new(), Some(&hints));
+        assert_eq!(therm.label, "Thermometer");
         let perfect = p.run_perfect(
             &trace,
             uarch_sim::PerfectOptions {
@@ -371,8 +321,8 @@ mod tests {
         // Cross-input agreement should be high (paper: ~81%).
         let agreement = train_hints.agreement_with(&same_hints);
         assert!(agreement > 0.5, "agreement {agreement}");
-        let lru = p.run_lru(&test);
-        let cross = p.run_thermometer(&test, &train_hints);
+        let lru = lru_report(&p, &test);
+        let cross = p.run(&test, ThermometerPolicy::new(), Some(&train_hints));
         assert!(
             cross.btb.misses <= lru.btb.misses,
             "cross-input thermometer {} vs lru {}",
@@ -392,7 +342,7 @@ mod tests {
         assert!(p.run_named(&trace, "nosuch", None).is_none());
         // Dispatch agrees with the direct runners.
         let named = p.run_named(&trace, "lru", None).unwrap();
-        let direct = p.run_lru(&trace);
+        let direct = lru_report(&p, &trace);
         assert_eq!(named.btb.misses, direct.btb.misses);
         assert_eq!(named.label, direct.label);
     }
@@ -416,9 +366,9 @@ mod tests {
         let b = one_record_changed(&a, a.len() / 2);
         assert_eq!((a.name(), a.len()), (b.name(), b.len()));
         let p = Pipeline::new(PipelineConfig::default());
-        let lru_a = p.run_lru(&a);
-        let lru_b = p.run_lru(&b);
-        assert_eq!(lru_b, Pipeline::default().run_lru(&b));
+        let lru_a = lru_report(&p, &a);
+        let lru_b = lru_report(&p, &b);
+        assert_eq!(lru_b, lru_report(&Pipeline::default(), &b));
         assert_ne!(lru_a, lru_b, "the edited record must change the run");
         assert_eq!(held(&p).map(|k| k.fingerprint), Some(b.fingerprint()));
     }
@@ -433,22 +383,25 @@ mod tests {
         };
         // A perfect-I-cache run after a normal one, and the reverse, on a
         // warm memo: both equal a cold pipeline's report.
-        let lru = p.run_lru(&trace);
+        let lru = lru_report(&p, &trace);
         let perfect = p.run_perfect(&trace, icache);
         assert_eq!(perfect, Pipeline::default().run_perfect(&trace, icache));
         assert_eq!(perfect.l1i_misses, 0);
         assert_eq!(perfect.icache_stall_cycles, 0.0);
-        assert_eq!(p.run_lru(&trace), lru);
+        assert_eq!(lru_report(&p, &trace), lru);
         let q = Pipeline::default();
         assert_eq!(q.run_perfect(&trace, icache), perfect);
-        assert_eq!(q.run_lru(&trace), lru);
+        assert_eq!(lru_report(&q, &trace), lru);
 
         // with_btb builds a pipeline with its own, empty memo.
         let small = BtbConfig::new(1024, 4);
         let derived = p.with_btb(small);
         assert_eq!(held(&derived), None);
-        let got = derived.run_lru(&trace);
-        assert_eq!(got, Pipeline::default().with_btb(small).run_lru(&trace));
+        let got = lru_report(&derived, &trace);
+        assert_eq!(
+            got,
+            lru_report(&Pipeline::default().with_btb(small), &trace)
+        );
         assert_ne!(got.btb.misses, lru.btb.misses, "geometry reached the BTB");
 
         // A pipeline configured with a perfect I-cache, switching traces.
@@ -457,10 +410,13 @@ mod tests {
         let r = Pipeline::new(config.clone());
         let other = small_trace(0);
         assert_eq!(
-            r.run_lru(&other),
-            Pipeline::new(config.clone()).run_lru(&other)
+            lru_report(&r, &other),
+            lru_report(&Pipeline::new(config.clone()), &other)
         );
-        assert_eq!(r.run_lru(&trace), Pipeline::new(config).run_lru(&trace));
+        assert_eq!(
+            lru_report(&r, &trace),
+            lru_report(&Pipeline::new(config), &trace)
+        );
     }
 
     #[test]
@@ -469,16 +425,22 @@ mod tests {
         let b = small_trace(2);
         let p = Pipeline::new(PipelineConfig::default());
         let hints = p.profile_to_hints(&small_trace(0));
-        let first = (p.run_lru(&a), p.run_thermometer(&a, &hints));
+        let both = |t| {
+            (
+                lru_report(&p, t),
+                p.run(t, ThermometerPolicy::new(), Some(&hints)),
+            )
+        };
+        let first = both(&a);
         let weak_a = std::rc::Rc::downgrade(&p.events.borrow().as_ref().unwrap().1);
-        let on_b = p.run_lru(&b);
+        let on_b = lru_report(&p, &b);
         assert!(
             weak_a.upgrade().is_none(),
             "A's stream outlived the switch to B"
         );
-        let again = (p.run_lru(&a), p.run_thermometer(&a, &hints));
+        let again = both(&a);
         assert_eq!(again, first);
-        assert_eq!(on_b, Pipeline::default().run_lru(&b));
+        assert_eq!(on_b, lru_report(&Pipeline::default(), &b));
         assert_eq!(held(&p).map(|k| k.len), Some(a.len()));
     }
 

@@ -1,20 +1,18 @@
 //! Enum dispatch over the CLI policy vocabulary.
 //!
-//! [`Pipeline::run_named`](crate::pipeline::Pipeline::run_named) used to
-//! monomorphize one `Frontend<Btb<P>>` per policy type, which kept every
-//! per-access policy callback a direct call but compiled one copy of the
-//! whole simulation loop per [`POLICY_NAMES`](crate::pipeline::POLICY_NAMES)
-//! entry. [`PolicyKind`] collapses that to a single
-//! instantiation: one enum whose variants hold the concrete policies, with
-//! each [`ReplacementPolicy`] method a `match` that the optimizer turns
-//! into a jump table. Unlike `Box<dyn ReplacementPolicy>`, the policy state
-//! lives inline (no pointer chase on the hot path) and the per-variant
-//! bodies stay inlinable. The trait-object path is still available for
-//! heterogeneous collections; this type is for the named hot path.
+//! [`Pipeline::run_named`](crate::pipeline::Pipeline::run_named) runs every
+//! [`POLICY_NAMES`](crate::pipeline::POLICY_NAMES) entry through one
+//! `Frontend<Btb<PolicyKind>>` instantiation: one enum whose variants hold
+//! the concrete policies, with each [`ReplacementPolicy`] method a `match`
+//! that the optimizer turns into a jump table. Unlike
+//! `Box<dyn ReplacementPolicy>`, the policy state lives inline (no pointer
+//! chase on the hot path) and the per-variant bodies stay inlinable. Code
+//! that names a concrete policy type passes it to
+//! [`Pipeline::run`](crate::pipeline::Pipeline::run) instead, which
+//! monomorphizes for that type.
 
 use btb_model::policies::{
-    BeladyOpt, Drrip, Fifo, Ghrp, GhrpConfig, Hawkeye, HawkeyeConfig, Lru, PseudoLru, Random, Ship,
-    Srrip, Trrip,
+    BeladyOpt, Drrip, Fifo, Ghrp, Hawkeye, Lru, PseudoLru, Random, Ship, Srrip, Trrip,
 };
 use btb_model::{AccessContext, BtbEntry, Geometry, ReplacementPolicy, Victim};
 
@@ -85,36 +83,18 @@ impl PolicyKind {
             "drrip" => Self::Drrip(Drrip::new()),
             "trrip" => Self::Trrip(Trrip::new()),
             "ship" => Self::Ship(Ship::new()),
-            "ghrp" => Self::Ghrp(Ghrp::new(GhrpConfig::default())),
-            "hawkeye" => Self::Hawkeye(Hawkeye::new(HawkeyeConfig::default())),
+            "ghrp" => Self::Ghrp(Ghrp::default()),
+            "hawkeye" => Self::Hawkeye(Hawkeye::default()),
             "opt" => Self::Opt(BeladyOpt::new()),
             "thermometer" => Self::Thermometer(ThermometerPolicy::new()),
             _ => return None,
         })
     }
 
-    /// Whether this policy only makes sense with the next-use oracle.
-    pub fn needs_oracle(&self) -> bool {
-        matches!(self, Self::Opt(_))
-    }
-
-    /// Whether this is the hint-consuming Thermometer policy.
-    pub fn is_thermometer(&self) -> bool {
-        matches!(self, Self::Thermometer(_))
-    }
-
     /// Whether this policy consumes temperature hints — the pipeline only
     /// profiles a training trace for policies that will read the result.
     pub fn wants_hints(&self) -> bool {
         matches!(self, Self::Thermometer(_) | Self::Trrip(_))
-    }
-
-    /// The coverage counters when this is Thermometer.
-    pub fn coverage(&self) -> Option<crate::policy::CoverageCounters> {
-        match self {
-            Self::Thermometer(p) => Some(p.coverage()),
-            _ => None,
-        }
     }
 }
 
@@ -146,6 +126,10 @@ impl ReplacementPolicy for PolicyKind {
     fn on_invalidate(&mut self, set: usize, way: usize, last: usize) {
         each_kind!(self, p => p.on_invalidate(set, way, last));
     }
+
+    fn needs_oracle(&self) -> bool {
+        each_kind!(self, p => p.needs_oracle())
+    }
 }
 
 #[cfg(test)]
@@ -176,6 +160,7 @@ mod tests {
         for (name, label) in labels {
             let kind = PolicyKind::by_name(name).expect("known name");
             assert_eq!(kind.name(), label);
+            assert_eq!(kind.needs_oracle(), name == "opt", "{name}");
         }
         assert!(PolicyKind::by_name("nosuch").is_none());
     }

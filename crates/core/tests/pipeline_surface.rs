@@ -1,13 +1,14 @@
 //! Public-API surface tests of the thermometer crate: labels, detailed
-//! runs, custom-policy composition, and profile/hint interactions.
+//! runs, the oracle decision, and profile/hint interactions.
 
-use btb_model::policies::{BeladyOpt, Srrip};
-use btb_model::BtbConfig;
+use btb_model::policies::BeladyOpt;
+use btb_model::{BtbConfig, ExclusiveTwoLevelBtb, ReplacementPolicy, TwoLevelBtb};
+use btb_trace::NextUseOracle;
 use btb_workloads::{AppSpec, InputConfig};
 use thermometer::pipeline::{Pipeline, PipelineConfig};
 use thermometer::{HintTable, OptProfile, TemperatureConfig, ThermometerNoBypass};
-use uarch_sim::prefetch::Confluence;
-use uarch_sim::FrontendConfig;
+use uarch_sim::prefetch::ShotgunBtb;
+use uarch_sim::{Frontend, FrontendConfig, SimReport};
 
 fn small_trace(input: u32) -> btb_trace::Trace {
     let spec = AppSpec {
@@ -18,30 +19,47 @@ fn small_trace(input: u32) -> btb_trace::Trace {
     spec.generate(InputConfig::input(input), 50_000)
 }
 
-#[test]
-fn run_custom_composes_labels() {
-    let trace = small_trace(0);
-    let p = Pipeline::new(PipelineConfig::default());
-    let plain = p.run_custom(&trace, Srrip::new(), None, false, None);
-    assert_eq!(plain.label, "SRRIP");
-    let with_pf = p.run_custom(
-        &trace,
-        Srrip::new(),
-        None,
-        false,
-        Some(Box::new(Confluence::new())),
-    );
-    assert_eq!(with_pf.label, "SRRIP+Confluence");
+/// Equal reports, with the `f64` cycle sum compared bit for bit.
+fn assert_same(got: &SimReport, want: &SimReport, what: &str) {
+    assert_eq!(got, want, "{what}");
+    assert_eq!(got.cycles.to_bits(), want.cycles.to_bits(), "{what}");
 }
 
 #[test]
-fn run_custom_with_oracle_matches_run_opt() {
+fn opt_builds_its_oracle_however_it_is_reached() {
     let trace = small_trace(0);
-    let p = Pipeline::new(PipelineConfig::default());
-    let a = p.run_custom(&trace, BeladyOpt::new(), None, true, None);
-    let b = p.run_opt(&trace);
-    assert_eq!(a.btb, b.btb);
-    assert_eq!(a.cycles.to_bits(), b.cycles.to_bits());
+    // A BTB small enough to evict, so OPT's victim choices matter.
+    let p = Pipeline::new(PipelineConfig::default()).with_btb(BtbConfig::new(512, 4));
+    let config = p.config().frontend;
+    let oracle = NextUseOracle::build(&trace);
+
+    let mut want = Frontend::new(config, BeladyOpt::new()).run(&trace, Some(&oracle));
+    want.label = "OPT".into();
+    let blind = Frontend::new(config, BeladyOpt::new()).run(&trace, None);
+    assert_ne!(blind.btb, want.btb, "the oracle must change OPT's run");
+    assert_same(&p.run(&trace, BeladyOpt::new(), None), &want, "run");
+    let boxed: Box<dyn ReplacementPolicy> = Box::new(BeladyOpt::new());
+    assert_same(&p.run(&trace, boxed, None), &want, "boxed");
+    let named = p.run_named(&trace, "opt", None).expect("opt is known");
+    assert_same(&named, &want, "run_named");
+
+    let shotgun = || ShotgunBtb::new(config.btb, BeladyOpt::new(), BeladyOpt::new());
+    let want = Frontend::with_btb(config, shotgun()).run(&trace, Some(&oracle));
+    let got = p.simulate(&mut Frontend::with_btb(config, shotgun()), &trace);
+    assert_same(&got, &want, "shotgun");
+
+    let l1 = BtbConfig::new(config.btb.entries() / 8, config.btb.ways());
+    let inclusive = || TwoLevelBtb::new(l1, config.btb, BeladyOpt::new());
+    let want = Frontend::with_btb(config, inclusive()).run(&trace, Some(&oracle));
+    let got = p.simulate(&mut Frontend::with_btb(config, inclusive()), &trace);
+    assert_same(&got, &want, "inclusive two-level");
+
+    // The exclusive last level is filled only by L1 spills, which carry no
+    // next use, so this case pins the plumbing rather than the oracle.
+    let exclusive = || ExclusiveTwoLevelBtb::new(l1, config.btb, BeladyOpt::new());
+    let want = Frontend::with_btb(config, exclusive()).run(&trace, Some(&oracle));
+    let got = p.simulate(&mut Frontend::with_btb(config, exclusive()), &trace);
+    assert_same(&got, &want, "exclusive two-level");
 }
 
 #[test]
@@ -74,13 +92,7 @@ fn no_bypass_ablation_never_bypasses_on_real_traffic() {
         temperature: TemperatureConfig::paper_default(),
     });
     let hints = p.profile_to_hints(&trace);
-    let report = p.run_custom(
-        &trace,
-        ThermometerNoBypass::new(),
-        Some(&hints),
-        false,
-        None,
-    );
+    let report = p.run(&trace, ThermometerNoBypass::new(), Some(&hints));
     assert_eq!(report.btb.bypasses, 0);
     assert_eq!(report.label, "Therm-NoBypass");
 }

@@ -549,6 +549,10 @@ impl<B: BtbInterface> BtbInterface for HintedBtb<'_, B> {
     fn clear(&mut self) {
         self.btb.clear();
     }
+
+    fn needs_oracle(&self) -> bool {
+        self.btb.needs_oracle()
+    }
 }
 
 #[cfg(test)]

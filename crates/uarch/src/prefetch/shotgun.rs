@@ -158,6 +158,10 @@ impl<P: ReplacementPolicy> BtbInterface for ShotgunBtb<P> {
         self.regions.clear();
         self.issued = 0;
     }
+
+    fn needs_oracle(&self) -> bool {
+        self.ubtb.needs_oracle() || self.cbtb.needs_oracle()
+    }
 }
 
 #[cfg(test)]

@@ -14,7 +14,7 @@
 //! comparison does.
 
 use btb_model::policies::Lru;
-use btb_model::BtbConfig;
+use btb_model::{BtbConfig, ReplacementPolicy};
 use btb_trace::{NextUseOracle, Trace};
 use btb_workloads::{AppSpec, InputConfig};
 use thermometer::pipeline::POLICY_NAMES;

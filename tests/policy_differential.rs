@@ -21,8 +21,7 @@
 //!   Belady's OPT on the same trace.
 
 use btb_model::policies::{
-    BeladyOpt, Drrip, Fifo, Ghrp, GhrpConfig, Hawkeye, HawkeyeConfig, Lru, PseudoLru, Random, Ship,
-    Srrip, Trrip,
+    BeladyOpt, Drrip, Fifo, Ghrp, Hawkeye, Lru, PseudoLru, Random, Ship, Srrip, Trrip,
 };
 use btb_model::{AccessContext, Btb, BtbConfig, BtbStats, ReplacementPolicy};
 use btb_trace::{BranchKind, BranchRecord, NextUseOracle, Trace};
@@ -35,13 +34,8 @@ fn workload(name: &str) -> Trace {
         .generate(InputConfig::input(0), 100_000)
 }
 
-fn drive<P: ReplacementPolicy>(
-    trace: &Trace,
-    policy: P,
-    config: BtbConfig,
-    oracle: bool,
-) -> BtbStats {
-    drive_hinted(trace, policy, config, oracle, 0)
+fn drive<P: ReplacementPolicy>(trace: &Trace, policy: P, config: BtbConfig) -> BtbStats {
+    drive_hinted(trace, policy, config, 0)
 }
 
 /// Like [`drive`], but stamps every access with a uniform temperature
@@ -50,10 +44,9 @@ fn drive_hinted<P: ReplacementPolicy>(
     trace: &Trace,
     policy: P,
     config: BtbConfig,
-    oracle: bool,
     hint: u8,
 ) -> BtbStats {
-    let oracle = oracle.then(|| NextUseOracle::build(trace));
+    let oracle = policy.needs_oracle().then(|| NextUseOracle::build(trace));
     let mut btb = Btb::new(config, policy);
     for (i, r) in trace.taken().enumerate() {
         let ctx = AccessContext {
@@ -95,8 +88,8 @@ fn prop_plru_equals_lru_at_one_and_two_ways() {
     }, prop: |(pcs, entries, ways)| {
         let trace = synthetic(pcs);
         let config = BtbConfig::new(*entries, *ways);
-        let lru = drive(&trace, Lru::new(), config, false);
-        let plru = drive(&trace, PseudoLru::new(), config, false);
+        let lru = drive(&trace, Lru::new(), config);
+        let plru = drive(&trace, PseudoLru::new(), config);
         assert_eq!(
             lru, plru,
             "LRU and tree-PLRU diverged at {ways} way(s), {entries} entries"
@@ -109,8 +102,8 @@ fn plru_equals_lru_on_real_workloads_at_two_ways() {
     for name in ["kafka", "python"] {
         let trace = workload(name);
         let config = BtbConfig::new(1024, 2);
-        let lru = drive(&trace, Lru::new(), config, false);
-        let plru = drive(&trace, PseudoLru::new(), config, false);
+        let lru = drive(&trace, Lru::new(), config);
+        let plru = drive(&trace, PseudoLru::new(), config);
         assert_eq!(lru, plru, "{name}: 2-way PLRU must be exact LRU");
     }
 }
@@ -126,8 +119,8 @@ fn prop_pinned_drrip_equals_srrip() {
     }, prop: |(pcs, entries, ways)| {
         let trace = synthetic(pcs);
         let config = BtbConfig::new(*entries, *ways);
-        let srrip = drive(&trace, Srrip::new(), config, false);
-        let drrip = drive(&trace, Drrip::pinned_srrip(), config, false);
+        let srrip = drive(&trace, Srrip::new(), config);
+        let drrip = drive(&trace, Drrip::pinned_srrip(), config);
         assert_eq!(
             srrip, drrip,
             "pinned DRRIP diverged from SRRIP at {ways} ways, {entries} entries"
@@ -140,8 +133,8 @@ fn pinned_drrip_equals_srrip_on_real_workloads() {
     for name in ["kafka", "finagle-http"] {
         let trace = workload(name);
         let config = BtbConfig::new(2048, 4);
-        let srrip = drive(&trace, Srrip::new(), config, false);
-        let drrip = drive(&trace, Drrip::pinned_srrip(), config, false);
+        let srrip = drive(&trace, Srrip::new(), config);
+        let drrip = drive(&trace, Drrip::pinned_srrip(), config);
         assert_eq!(srrip, drrip, "{name}: pinned DRRIP must match SRRIP");
     }
     // Sanity: the un-pinned selector actually changes behaviour somewhere
@@ -149,8 +142,8 @@ fn pinned_drrip_equals_srrip_on_real_workloads() {
     let thrash: Vec<u64> = (0..60_000).map(|i| i % 128).collect();
     let trace = synthetic(&thrash);
     let config = BtbConfig::new(64, 4);
-    let srrip = drive(&trace, Srrip::new(), config, false);
-    let full = drive(&trace, Drrip::new(), config, false);
+    let srrip = drive(&trace, Srrip::new(), config);
+    let full = drive(&trace, Drrip::new(), config);
     assert_ne!(
         srrip, full,
         "full DRRIP should diverge from SRRIP on a thrashing loop"
@@ -169,9 +162,9 @@ fn prop_pinned_trrip_equals_srrip() {
     }, prop: |(pcs, entries, ways, hint)| {
         let trace = synthetic(pcs);
         let config = BtbConfig::new(*entries, *ways);
-        let srrip = drive(&trace, Srrip::new(), config, false);
+        let srrip = drive(&trace, Srrip::new(), config);
         // Pinned TRRIP must ignore whatever hint the frontend supplies.
-        let trrip = drive_hinted(&trace, Trrip::pinned_srrip(), config, false, *hint);
+        let trrip = drive_hinted(&trace, Trrip::pinned_srrip(), config, *hint);
         assert_eq!(
             srrip, trrip,
             "pinned TRRIP diverged from SRRIP at {ways} ways, {entries} entries (hint {hint})"
@@ -193,8 +186,8 @@ fn prop_uniformly_warm_trrip_equals_srrip() {
     }, prop: |(pcs, entries, ways)| {
         let trace = synthetic(pcs);
         let config = BtbConfig::new(*entries, *ways);
-        let srrip = drive(&trace, Srrip::new(), config, false);
-        let trrip = drive_hinted(&trace, Trrip::new(), config, false, 1);
+        let srrip = drive(&trace, Srrip::new(), config);
+        let trrip = drive_hinted(&trace, Trrip::new(), config, 1);
         assert_eq!(
             srrip, trrip,
             "uniformly-warm TRRIP diverged from SRRIP at {ways} ways, {entries} entries"
@@ -210,14 +203,14 @@ fn collapsed_trrip_equals_srrip_over_the_full_corpus() {
     let config = BtbConfig::new(2048, 4);
     for spec in AppSpec::all() {
         let trace = spec.generate(InputConfig::input(0), 100_000);
-        let srrip = drive(&trace, Srrip::new(), config, false);
-        let pinned = drive_hinted(&trace, Trrip::pinned_srrip(), config, false, 2);
+        let srrip = drive(&trace, Srrip::new(), config);
+        let pinned = drive_hinted(&trace, Trrip::pinned_srrip(), config, 2);
         assert_eq!(
             srrip, pinned,
             "{}: pinned TRRIP must match SRRIP",
             spec.name
         );
-        let warm = drive_hinted(&trace, Trrip::new(), config, false, 1);
+        let warm = drive_hinted(&trace, Trrip::new(), config, 1);
         assert_eq!(
             srrip, warm,
             "{}: uniformly-warm TRRIP must match SRRIP",
@@ -227,8 +220,8 @@ fn collapsed_trrip_equals_srrip_over_the_full_corpus() {
     // Sanity: a *different* uniform class must diverge somewhere, or the
     // equivalences above prove nothing about the temperature plumbing.
     let trace = workload("kafka");
-    let srrip = drive(&trace, Srrip::new(), config, false);
-    let cold = drive_hinted(&trace, Trrip::new(), config, false, 0);
+    let srrip = drive(&trace, Srrip::new(), config);
+    let cold = drive_hinted(&trace, Trrip::new(), config, 0);
     assert_ne!(
         srrip, cold,
         "uniformly-cold TRRIP should diverge from SRRIP on kafka"
@@ -246,21 +239,21 @@ fn prop_no_policy_in_the_full_zoo_beats_opt() {
     }, prop: |(pcs, entries, ways)| {
         let trace = synthetic(pcs);
         let config = BtbConfig::new(*entries, *ways);
-        let opt = drive(&trace, BeladyOpt::new(), config, true);
+        let opt = drive(&trace, BeladyOpt::new(), config);
         for (label, stats) in [
-            ("LRU", drive(&trace, Lru::new(), config, false)),
-            ("FIFO", drive(&trace, Fifo::new(), config, false)),
-            ("PLRU", drive(&trace, PseudoLru::new(), config, false)),
-            ("Random", drive(&trace, Random::with_seed(17), config, false)),
-            ("SRRIP", drive(&trace, Srrip::new(), config, false)),
-            ("DRRIP", drive(&trace, Drrip::new(), config, false)),
-            ("DRRIP-pinned", drive(&trace, Drrip::pinned_srrip(), config, false)),
-            ("TRRIP", drive(&trace, Trrip::new(), config, false)),
-            ("TRRIP-warm", drive_hinted(&trace, Trrip::new(), config, false, 1)),
-            ("TRRIP-pinned", drive(&trace, Trrip::pinned_srrip(), config, false)),
-            ("SHiP", drive(&trace, Ship::new(), config, false)),
-            ("GHRP", drive(&trace, Ghrp::new(GhrpConfig::default()), config, false)),
-            ("Hawkeye", drive(&trace, Hawkeye::new(HawkeyeConfig::default()), config, false)),
+            ("LRU", drive(&trace, Lru::new(), config)),
+            ("FIFO", drive(&trace, Fifo::new(), config)),
+            ("PLRU", drive(&trace, PseudoLru::new(), config)),
+            ("Random", drive(&trace, Random::with_seed(17), config)),
+            ("SRRIP", drive(&trace, Srrip::new(), config)),
+            ("DRRIP", drive(&trace, Drrip::new(), config)),
+            ("DRRIP-pinned", drive(&trace, Drrip::pinned_srrip(), config)),
+            ("TRRIP", drive(&trace, Trrip::new(), config)),
+            ("TRRIP-warm", drive_hinted(&trace, Trrip::new(), config, 1)),
+            ("TRRIP-pinned", drive(&trace, Trrip::pinned_srrip(), config)),
+            ("SHiP", drive(&trace, Ship::new(), config)),
+            ("GHRP", drive(&trace, Ghrp::default(), config)),
+            ("Hawkeye", drive(&trace, Hawkeye::default(), config)),
         ] {
             assert!(
                 opt.hits >= stats.hits,
@@ -276,12 +269,12 @@ fn prop_no_policy_in_the_full_zoo_beats_opt() {
 fn full_zoo_hits_bounded_by_opt_on_a_real_workload() {
     let trace = workload("python");
     let config = BtbConfig::new(2048, 4);
-    let opt = drive(&trace, BeladyOpt::new(), config, true);
+    let opt = drive(&trace, BeladyOpt::new(), config);
     for (label, stats) in [
-        ("FIFO", drive(&trace, Fifo::new(), config, false)),
-        ("PLRU", drive(&trace, PseudoLru::new(), config, false)),
-        ("DRRIP", drive(&trace, Drrip::new(), config, false)),
-        ("SHiP", drive(&trace, Ship::new(), config, false)),
+        ("FIFO", drive(&trace, Fifo::new(), config)),
+        ("PLRU", drive(&trace, PseudoLru::new(), config)),
+        ("DRRIP", drive(&trace, Drrip::new(), config)),
+        ("SHiP", drive(&trace, Ship::new(), config)),
     ] {
         assert!(
             opt.hits >= stats.hits,

@@ -2,9 +2,7 @@
 //! workload traces, must satisfy the BTB accounting identities, and
 //! Belady's OPT must dominate them all.
 
-use btb_model::policies::{
-    BeladyOpt, Ghrp, GhrpConfig, Hawkeye, HawkeyeConfig, Lru, Random, Srrip,
-};
+use btb_model::policies::{BeladyOpt, Ghrp, Hawkeye, Lru, Random, Srrip};
 use btb_model::{AccessContext, Btb, BtbConfig, BtbStats, ReplacementPolicy};
 use btb_trace::{BranchKind, BranchRecord, NextUseOracle, Trace};
 use btb_workloads::{AppSpec, InputConfig};
@@ -16,13 +14,8 @@ fn workload(name: &str) -> Trace {
         .generate(InputConfig::input(0), 120_000)
 }
 
-fn drive<P: ReplacementPolicy>(
-    trace: &Trace,
-    policy: P,
-    config: BtbConfig,
-    oracle: bool,
-) -> BtbStats {
-    let oracle = oracle.then(|| NextUseOracle::build(trace));
+fn drive<P: ReplacementPolicy>(trace: &Trace, policy: P, config: BtbConfig) -> BtbStats {
+    let oracle = policy.needs_oracle().then(|| NextUseOracle::build(trace));
     let mut btb = Btb::new(config, policy);
     for (i, r) in trace.taken().enumerate() {
         let ctx = AccessContext {
@@ -43,23 +36,12 @@ fn accounting_identities_hold_for_every_policy() {
     let trace = workload("python");
     let config = BtbConfig::new(2048, 4);
     let stats: Vec<(&str, BtbStats)> = vec![
-        ("LRU", drive(&trace, Lru::new(), config, false)),
-        ("Random", drive(&trace, Random::with_seed(3), config, false)),
-        ("SRRIP", drive(&trace, Srrip::new(), config, false)),
-        (
-            "GHRP",
-            drive(&trace, Ghrp::new(GhrpConfig::default()), config, false),
-        ),
-        (
-            "Hawkeye",
-            drive(
-                &trace,
-                Hawkeye::new(HawkeyeConfig::default()),
-                config,
-                false,
-            ),
-        ),
-        ("OPT", drive(&trace, BeladyOpt::new(), config, true)),
+        ("LRU", drive(&trace, Lru::new(), config)),
+        ("Random", drive(&trace, Random::with_seed(3), config)),
+        ("SRRIP", drive(&trace, Srrip::new(), config)),
+        ("GHRP", drive(&trace, Ghrp::default(), config)),
+        ("Hawkeye", drive(&trace, Hawkeye::default(), config)),
+        ("OPT", drive(&trace, BeladyOpt::new(), config)),
     ];
     let accesses = stats[0].1.accesses;
     for (name, s) in &stats {
@@ -86,24 +68,13 @@ fn opt_dominates_every_online_policy_on_real_workloads() {
     for name in ["kafka", "python", "finagle-http"] {
         let trace = workload(name);
         let config = BtbConfig::new(2048, 4);
-        let opt = drive(&trace, BeladyOpt::new(), config, true);
+        let opt = drive(&trace, BeladyOpt::new(), config);
         for (label, stats) in [
-            ("LRU", drive(&trace, Lru::new(), config, false)),
-            ("Random", drive(&trace, Random::with_seed(1), config, false)),
-            ("SRRIP", drive(&trace, Srrip::new(), config, false)),
-            (
-                "GHRP",
-                drive(&trace, Ghrp::new(GhrpConfig::default()), config, false),
-            ),
-            (
-                "Hawkeye",
-                drive(
-                    &trace,
-                    Hawkeye::new(HawkeyeConfig::default()),
-                    config,
-                    false,
-                ),
-            ),
+            ("LRU", drive(&trace, Lru::new(), config)),
+            ("Random", drive(&trace, Random::with_seed(1), config)),
+            ("SRRIP", drive(&trace, Srrip::new(), config)),
+            ("GHRP", drive(&trace, Ghrp::default(), config)),
+            ("Hawkeye", drive(&trace, Hawkeye::default(), config)),
         ] {
             assert!(
                 opt.hits >= stats.hits,
@@ -120,25 +91,14 @@ fn only_opt_style_policies_bypass() {
     let trace = workload("kafka");
     let config = BtbConfig::new(1024, 4);
     for (label, stats) in [
-        ("LRU", drive(&trace, Lru::new(), config, false)),
-        ("SRRIP", drive(&trace, Srrip::new(), config, false)),
-        (
-            "GHRP",
-            drive(&trace, Ghrp::new(GhrpConfig::default()), config, false),
-        ),
-        (
-            "Hawkeye",
-            drive(
-                &trace,
-                Hawkeye::new(HawkeyeConfig::default()),
-                config,
-                false,
-            ),
-        ),
+        ("LRU", drive(&trace, Lru::new(), config)),
+        ("SRRIP", drive(&trace, Srrip::new(), config)),
+        ("GHRP", drive(&trace, Ghrp::default(), config)),
+        ("Hawkeye", drive(&trace, Hawkeye::default(), config)),
     ] {
         assert_eq!(stats.bypasses, 0, "{label} must never bypass");
     }
-    let opt = drive(&trace, BeladyOpt::new(), config, true);
+    let opt = drive(&trace, BeladyOpt::new(), config);
     assert!(
         opt.bypasses > 0,
         "OPT should bypass cold streams under pressure"
@@ -151,7 +111,7 @@ fn capacity_monotonicity_for_opt() {
     let trace = workload("python");
     let mut prev_hits = 0;
     for entries in [512usize, 1024, 2048, 4096] {
-        let stats = drive(&trace, BeladyOpt::new(), BtbConfig::new(entries, 4), true);
+        let stats = drive(&trace, BeladyOpt::new(), BtbConfig::new(entries, 4));
         assert!(
             stats.hits >= prev_hits,
             "OPT hits decreased from {prev_hits} to {} at {entries} entries",
@@ -221,8 +181,8 @@ fn prop_no_policy_beats_opt_and_sets_never_overflow() {
             ("LRU", checked_hits(&trace, Lru::new(), config)),
             ("Random", checked_hits(&trace, Random::with_seed(11), config)),
             ("SRRIP", checked_hits(&trace, Srrip::new(), config)),
-            ("GHRP", checked_hits(&trace, Ghrp::new(GhrpConfig::default()), config)),
-            ("Hawkeye", checked_hits(&trace, Hawkeye::new(HawkeyeConfig::default()), config)),
+            ("GHRP", checked_hits(&trace, Ghrp::default(), config)),
+            ("Hawkeye", checked_hits(&trace, Hawkeye::default(), config)),
         ] {
             assert!(opt >= hits, "OPT ({opt} hits) lost to {label} ({hits} hits)");
         }
@@ -236,16 +196,11 @@ fn remainder_set_geometry_runs_every_policy() {
     let trace = workload("finagle-http");
     let config = BtbConfig::iso_storage_7979();
     for stats in [
-        drive(&trace, Lru::new(), config, false),
-        drive(&trace, Srrip::new(), config, false),
-        drive(&trace, Ghrp::new(GhrpConfig::default()), config, false),
-        drive(
-            &trace,
-            Hawkeye::new(HawkeyeConfig::default()),
-            config,
-            false,
-        ),
-        drive(&trace, BeladyOpt::new(), config, true),
+        drive(&trace, Lru::new(), config),
+        drive(&trace, Srrip::new(), config),
+        drive(&trace, Ghrp::default(), config),
+        drive(&trace, Hawkeye::default(), config),
+        drive(&trace, BeladyOpt::new(), config),
     ] {
         assert!(stats.hits > 0);
         assert_eq!(stats.hits + stats.misses, stats.accesses);

@@ -9,8 +9,7 @@
 //! invariant shows up here with a shrunk witness stream.
 
 use btb_model::policies::{
-    BeladyOpt, Drrip, Fifo, Ghrp, GhrpConfig, Hawkeye, HawkeyeConfig, Lru, PseudoLru, Random, Ship,
-    Srrip, Trrip,
+    BeladyOpt, Drrip, Fifo, Ghrp, Hawkeye, Lru, PseudoLru, Random, Ship, Srrip, Trrip,
 };
 use btb_model::reference::ReferenceBtb;
 use btb_model::{AccessContext, Btb, BtbConfig, ReplacementPolicy};
@@ -118,8 +117,8 @@ fn zoo(ops: &[Op]) {
     differential("TRRIP", Trrip::new, ops);
     differential("TRRIP-pinned", Trrip::pinned_srrip, ops);
     differential("SHiP", Ship::new, ops);
-    differential("GHRP", || Ghrp::new(GhrpConfig::default()), ops);
-    differential("Hawkeye", || Hawkeye::new(HawkeyeConfig::default()), ops);
+    differential("GHRP", Ghrp::default, ops);
+    differential("Hawkeye", Hawkeye::default, ops);
     differential("OPT", BeladyOpt::new, ops);
     differential("Thermometer", ThermometerPolicy::new, ops);
     differential("Therm-NoBypass", ThermometerNoBypass::new, ops);
