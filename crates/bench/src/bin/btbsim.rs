@@ -17,8 +17,9 @@ use std::process::exit;
 use btb_model::BtbConfig;
 use btb_trace::{read_binary_batched, Trace};
 use sim_support::pool;
-use thermometer::pipeline::{Pipeline, PipelineConfig, POLICY_NAMES};
-use thermometer::{HintTable, PolicyKind, TemperatureConfig};
+use thermometer::pipeline::{Pipeline, PipelineConfig};
+use thermometer::policy_kind::{PolicyKind, POLICY_NAMES};
+use thermometer::{HintTable, TemperatureConfig};
 use thermometer_bench::RunCtx;
 use uarch_sim::{FrontendConfig, SimReport};
 
@@ -28,6 +29,21 @@ fn main() {
         usage("missing trace file")
     };
     let policy = flag(&args, "--policy").unwrap_or_else(|| "lru".into());
+    let kinds: Vec<PolicyKind> = policy
+        .split(',')
+        .filter(|p| !p.is_empty())
+        .map(|p| {
+            PolicyKind::by_name(p).unwrap_or_else(|| {
+                usage(&format!(
+                    "unknown policy {p} (choose from: {})",
+                    POLICY_NAMES.join(", ")
+                ))
+            })
+        })
+        .collect();
+    if kinds.is_empty() {
+        usage("empty --policy list");
+    }
     let entries: usize = flag(&args, "--entries").map_or(8192, |v| {
         v.parse().unwrap_or_else(|_| usage("bad --entries"))
     });
@@ -51,24 +67,8 @@ fn main() {
         temperature: TemperatureConfig::paper_default(),
     });
 
-    let policies: Vec<&str> = policy.split(',').filter(|p| !p.is_empty()).collect();
-    if policies.is_empty() {
-        usage("empty --policy list");
-    }
-    if let Some(unknown) = policies.iter().find(|p| !POLICY_NAMES.contains(p)) {
-        usage(&format!(
-            "unknown policy {unknown} (choose from: {})",
-            POLICY_NAMES.join(", ")
-        ));
-    }
-
     // Profile once, up front, if any requested policy needs hints.
-    let wants_hints = policies.iter().any(|p| {
-        PolicyKind::by_name(p)
-            // justified expect: validated against POLICY_NAMES above.
-            .expect("validated above")
-            .wants_hints()
-    });
+    let wants_hints = kinds.iter().any(PolicyKind::wants_hints);
     let hints: Option<HintTable> = wants_hints.then(|| {
         let profile_trace = match flag(&args, "--profile") {
             Some(p) => load(&p),
@@ -89,13 +89,9 @@ fn main() {
     // Scatter the runs, gather reports in the order the policies were given.
     // A `Pipeline` is !Sync (it memoizes the frontend stream): one per task.
     let config = pipeline.config();
-    let reports = pool::par_map(ctx.pool(), &policies, |_, name| {
-        Pipeline::new(config.clone())
-            .run_named(&trace, name, hints.as_ref())
-            // justified expect: every policy name was checked against
-            // POLICY_NAMES during argument parsing (load() exits with
-            // usage() on an unknown name), so run_named cannot miss here.
-            .expect("validated above")
+    let reports = pool::par_map(ctx.pool(), &kinds, |_, kind| {
+        let hints = hints.as_ref().filter(|_| kind.wants_hints());
+        Pipeline::new(config.clone()).run(&trace, kind.clone(), hints)
     });
     for (i, report) in reports.iter().enumerate() {
         if i > 0 {

@@ -20,6 +20,8 @@ use uarch_sim::{Frontend, FrontendConfig, FrontendEvents, PerfectOptions, SimRep
 use crate::hints::HintTable;
 use crate::policy::ThermometerPolicy;
 use crate::policy_kind::PolicyKind;
+/// Re-exported from [`crate::policy_kind`], where the zoo table defines it.
+pub use crate::policy_kind::POLICY_NAMES;
 use crate::profile::OptProfile;
 use crate::temperature::TemperatureConfig;
 
@@ -41,32 +43,6 @@ impl Default for PipelineConfig {
         }
     }
 }
-
-/// Policy names accepted by [`Pipeline::run_named`], in canonical order —
-/// the `btbsim --policy` vocabulary. The count is `POLICY_NAMES.len()`.
-///
-/// This list is one leg of the `[registry.policy-zoo]` declared in
-/// `simlint.toml`: simlint's R-rules hold it byte-consistent with the
-/// [`PolicyKind`] variants (R01/R02), the
-/// `each_kind!` dispatch arms (R03), the differential-test batteries
-/// (R04), and the figure suite (R05). A half-added policy fails `cargo
-/// test -q` before it compiles into a silently unplotted zoo member, so
-/// extending the zoo means wiring the name through every leg — nothing
-/// else hard-codes the size.
-pub const POLICY_NAMES: [&str; 12] = [
-    "lru",
-    "fifo",
-    "plru",
-    "random",
-    "srrip",
-    "drrip",
-    "trrip",
-    "ship",
-    "ghrp",
-    "hawkeye",
-    "opt",
-    "thermometer",
-];
 
 /// The profile-guided workflow plus baseline runners.
 ///

@@ -1,13 +1,21 @@
-//! Enum dispatch over the CLI policy vocabulary.
+//! The policy zoo, declared once, and enum dispatch over it.
+//!
+//! One `policy_zoo!` table lists every member as
+//! `Variant(Payload) = "cli-name" => constructor,` and expands to the
+//! [`PolicyKind`] enum, the [`POLICY_NAMES`] vocabulary, the
+//! [`PolicyKind::by_name`] builder and the [`ReplacementPolicy`] dispatch.
+//! The compiler therefore holds those four together: a member cannot be
+//! named without a variant, built without a name, or left out of dispatch.
+//! simlint's R04/R05 guard the two legs the compiler cannot see, the
+//! differential tests and the figure suite.
 //!
 //! [`Pipeline::run_named`](crate::pipeline::Pipeline::run_named) runs every
-//! [`POLICY_NAMES`](crate::pipeline::POLICY_NAMES) entry through one
-//! `Frontend<Btb<PolicyKind>>` instantiation: one enum whose variants hold
-//! the concrete policies, with each [`ReplacementPolicy`] method a `match`
-//! that the optimizer turns into a jump table. Unlike
-//! `Box<dyn ReplacementPolicy>`, the policy state lives inline (no pointer
-//! chase on the hot path) and the per-variant bodies stay inlinable. Code
-//! that names a concrete policy type passes it to
+//! name through one `Frontend<Btb<PolicyKind>>` instantiation: one enum
+//! whose variants hold the concrete policies, with each
+//! [`ReplacementPolicy`] method a `match` that the optimizer turns into a
+//! jump table. Unlike `Box<dyn ReplacementPolicy>`, the policy state lives
+//! inline (no pointer chase on the hot path) and the per-variant bodies
+//! stay inlinable. Code that names a concrete policy type passes it to
 //! [`Pipeline::run`](crate::pipeline::Pipeline::run) instead, which
 //! monomorphizes for that type.
 
@@ -18,79 +26,118 @@ use btb_model::{AccessContext, BtbEntry, Geometry, ReplacementPolicy, Victim};
 
 use crate::policy::ThermometerPolicy;
 
-/// Every policy reachable through [`POLICY_NAMES`](crate::pipeline::POLICY_NAMES),
-/// as one inline-stored enum.
-#[derive(Clone, Debug)]
-pub enum PolicyKind {
-    /// Classic least-recently-used (the baseline).
-    Lru(Lru),
-    /// Insertion-order eviction.
-    Fifo(Fifo),
-    /// Tree pseudo-LRU.
-    Plru(PseudoLru),
-    /// Uniform-random victim (seeded).
-    Random(Random),
-    /// Static RRIP.
-    Srrip(Srrip),
-    /// Dynamic RRIP with set dueling.
-    Drrip(Drrip),
-    /// Temperature-hinted RRIP (needs hints to help).
-    Trrip(Trrip),
-    /// Signature-based hit prediction.
-    Ship(Ship),
-    /// Global-history reference prediction.
-    Ghrp(Ghrp),
-    /// OPT-trained friendliness prediction.
-    Hawkeye(Hawkeye),
-    /// Belady's offline optimum (needs the next-use oracle).
-    Opt(BeladyOpt),
-    /// The paper's profile-guided policy (needs hints to help).
-    Thermometer(ThermometerPolicy),
-}
+/// Expands the zoo table into the enum, [`POLICY_NAMES`], `by_name` and
+/// the [`ReplacementPolicy`] dispatch.
+macro_rules! policy_zoo {
+    (
+        $(#[$meta:meta])*
+        pub enum $Kind:ident {
+            $( $(#[$vmeta:meta])* $V:ident($P:ty) = $name:literal => $ctor:expr, )*
+        }
+    ) => {
+        $(#[$meta])*
+        pub enum $Kind {
+            $( $(#[$vmeta])* $V($P), )*
+        }
 
-/// Dispatches `$self` to the variant's policy value.
-macro_rules! each_kind {
-    ($self:expr, $p:ident => $body:expr) => {
-        match $self {
-            PolicyKind::Lru($p) => $body,
-            PolicyKind::Fifo($p) => $body,
-            PolicyKind::Plru($p) => $body,
-            PolicyKind::Random($p) => $body,
-            PolicyKind::Srrip($p) => $body,
-            PolicyKind::Drrip($p) => $body,
-            PolicyKind::Trrip($p) => $body,
-            PolicyKind::Ship($p) => $body,
-            PolicyKind::Ghrp($p) => $body,
-            PolicyKind::Hawkeye($p) => $body,
-            PolicyKind::Opt($p) => $body,
-            PolicyKind::Thermometer($p) => $body,
+        /// Policy names accepted by
+        /// [`Pipeline::run_named`](crate::pipeline::Pipeline::run_named), in
+        /// canonical order: the `btbsim --policy` vocabulary, generated from
+        /// the [`PolicyKind`] table.
+        pub const POLICY_NAMES: [&str; [$($name),*].len()] = [$($name),*];
+
+        impl $Kind {
+            /// Builds the policy for one of the canonical CLI names (the
+            /// [`POLICY_NAMES`] vocabulary), with the constructor its table
+            /// row gives. Returns `None` for an unknown name.
+            pub fn by_name(name: &str) -> Option<Self> {
+                Some(match name {
+                    $( $name => Self::$V($ctor), )*
+                    _ => return None,
+                })
+            }
+        }
+
+        impl ReplacementPolicy for $Kind {
+            fn name(&self) -> &'static str {
+                match self { $( Self::$V(p) => p.name(), )* }
+            }
+
+            fn reset(&mut self, geometry: &Geometry) {
+                match self { $( Self::$V(p) => p.reset(geometry), )* }
+            }
+
+            fn on_hit(&mut self, set: usize, way: usize, ctx: &AccessContext) {
+                match self { $( Self::$V(p) => p.on_hit(set, way, ctx), )* }
+            }
+
+            fn on_fill(&mut self, set: usize, way: usize, ctx: &AccessContext) {
+                match self { $( Self::$V(p) => p.on_fill(set, way, ctx), )* }
+            }
+
+            fn choose_victim(
+                &mut self,
+                set: usize,
+                resident: &[BtbEntry],
+                ctx: &AccessContext,
+            ) -> Victim {
+                match self { $( Self::$V(p) => p.choose_victim(set, resident, ctx), )* }
+            }
+
+            fn on_replace(
+                &mut self,
+                set: usize,
+                way: usize,
+                evicted: &BtbEntry,
+                ctx: &AccessContext,
+            ) {
+                match self { $( Self::$V(p) => p.on_replace(set, way, evicted, ctx), )* }
+            }
+
+            fn on_invalidate(&mut self, set: usize, way: usize, last: usize) {
+                match self { $( Self::$V(p) => p.on_invalidate(set, way, last), )* }
+            }
+
+            fn needs_oracle(&self) -> bool {
+                match self { $( Self::$V(p) => p.needs_oracle(), )* }
+            }
         }
     };
 }
 
-impl PolicyKind {
-    /// Builds the policy for one of the canonical CLI names (the
-    /// [`POLICY_NAMES`](crate::pipeline::POLICY_NAMES) vocabulary), with
-    /// the same constructor arguments `run_named` has always used.
-    /// Returns `None` for an unknown name.
-    pub fn by_name(name: &str) -> Option<Self> {
-        Some(match name {
-            "lru" => Self::Lru(Lru::new()),
-            "fifo" => Self::Fifo(Fifo::new()),
-            "plru" => Self::Plru(PseudoLru::new()),
-            "random" => Self::Random(Random::with_seed(0x5eed)),
-            "srrip" => Self::Srrip(Srrip::new()),
-            "drrip" => Self::Drrip(Drrip::new()),
-            "trrip" => Self::Trrip(Trrip::new()),
-            "ship" => Self::Ship(Ship::new()),
-            "ghrp" => Self::Ghrp(Ghrp::default()),
-            "hawkeye" => Self::Hawkeye(Hawkeye::default()),
-            "opt" => Self::Opt(BeladyOpt::new()),
-            "thermometer" => Self::Thermometer(ThermometerPolicy::new()),
-            _ => return None,
-        })
+policy_zoo! {
+    /// Every policy reachable through [`POLICY_NAMES`], as one inline-stored
+    /// enum.
+    #[derive(Clone, Debug)]
+    pub enum PolicyKind {
+        /// Classic least-recently-used (the baseline).
+        Lru(Lru) = "lru" => Lru::new(),
+        /// Insertion-order eviction.
+        Fifo(Fifo) = "fifo" => Fifo::new(),
+        /// Tree pseudo-LRU.
+        Plru(PseudoLru) = "plru" => PseudoLru::new(),
+        /// Uniform-random victim (seeded).
+        Random(Random) = "random" => Random::with_seed(0x5eed),
+        /// Static RRIP.
+        Srrip(Srrip) = "srrip" => Srrip::new(),
+        /// Dynamic RRIP with set dueling.
+        Drrip(Drrip) = "drrip" => Drrip::new(),
+        /// Temperature-hinted RRIP (needs hints to help).
+        Trrip(Trrip) = "trrip" => Trrip::new(),
+        /// Signature-based hit prediction.
+        Ship(Ship) = "ship" => Ship::new(),
+        /// Global-history reference prediction.
+        Ghrp(Ghrp) = "ghrp" => Ghrp::default(),
+        /// OPT-trained friendliness prediction.
+        Hawkeye(Hawkeye) = "hawkeye" => Hawkeye::default(),
+        /// Belady's offline optimum (needs the next-use oracle).
+        Opt(BeladyOpt) = "opt" => BeladyOpt::new(),
+        /// The paper's profile-guided policy (needs hints to help).
+        Thermometer(ThermometerPolicy) = "thermometer" => ThermometerPolicy::new(),
     }
+}
 
+impl PolicyKind {
     /// Whether this policy consumes temperature hints — the pipeline only
     /// profiles a training trace for policies that will read the result.
     pub fn wants_hints(&self) -> bool {
@@ -98,48 +145,12 @@ impl PolicyKind {
     }
 }
 
-impl ReplacementPolicy for PolicyKind {
-    fn name(&self) -> &'static str {
-        each_kind!(self, p => p.name())
-    }
-
-    fn reset(&mut self, geometry: &Geometry) {
-        each_kind!(self, p => p.reset(geometry));
-    }
-
-    fn on_hit(&mut self, set: usize, way: usize, ctx: &AccessContext) {
-        each_kind!(self, p => p.on_hit(set, way, ctx));
-    }
-
-    fn on_fill(&mut self, set: usize, way: usize, ctx: &AccessContext) {
-        each_kind!(self, p => p.on_fill(set, way, ctx));
-    }
-
-    fn choose_victim(&mut self, set: usize, resident: &[BtbEntry], ctx: &AccessContext) -> Victim {
-        each_kind!(self, p => p.choose_victim(set, resident, ctx))
-    }
-
-    fn on_replace(&mut self, set: usize, way: usize, evicted: &BtbEntry, ctx: &AccessContext) {
-        each_kind!(self, p => p.on_replace(set, way, evicted, ctx));
-    }
-
-    fn on_invalidate(&mut self, set: usize, way: usize, last: usize) {
-        each_kind!(self, p => p.on_invalidate(set, way, last));
-    }
-
-    fn needs_oracle(&self) -> bool {
-        each_kind!(self, p => p.needs_oracle())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::pipeline::POLICY_NAMES;
 
-    /// Runtime companion to simlint's registry rules: R01/R02 already
-    /// pin name-list ↔ builder ↔ variants statically; this additionally
-    /// checks each constructed policy reports its display label.
+    /// The labels are written out by hand, apart from the table, so a row
+    /// whose constructor builds the wrong policy shows up here.
     #[test]
     fn covers_the_cli_vocabulary_with_matching_labels() {
         let labels = [

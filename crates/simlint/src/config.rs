@@ -14,10 +14,7 @@
 //! "crates/sim-support/src/bench.rs" = "the bench harness measures wall-clock by design"
 //!
 //! [registry.policy-zoo]
-//! names = "crates/core/src/pipeline.rs#POLICY_NAMES"
 //! kinds = "crates/core/src/policy_kind.rs#PolicyKind"
-//! builder = "crates/core/src/policy_kind.rs#by_name"
-//! dispatch = "crates/core/src/policy_kind.rs#each_kind"
 //! tests = ["tests/storage_differential.rs"]
 //! figures = ["crates/bench/src/figures"]
 //!
@@ -37,8 +34,9 @@
 //! exempt, and hotpath entries record their `simlint.toml` line so the
 //! dead-suppression rule (X02) can point at the exact stale entry.
 //!
-//! `[registry.<id>]` legs are `"path#item"` references; `tests` and
-//! `figures` are lists of path prefixes. String arrays may span multiple
+//! A `[registry.<id>]` names its members with `kinds`, a `"path#Enum"`
+//! reference, and the legs R04/R05 check with `tests` and `figures`, lists
+//! of path prefixes. Any other registry key is a parse error. String arrays may span multiple
 //! lines (one element per line).
 
 use std::collections::BTreeMap;
@@ -60,7 +58,7 @@ pub struct PathAllow {
 pub struct ItemRef {
     /// Workspace-relative file path.
     pub path: String,
-    /// Item name inside that file (const, enum, fn, or macro name).
+    /// Item name inside that file (the enum's name).
     pub item: String,
 }
 
@@ -68,7 +66,7 @@ pub struct ItemRef {
 /// (R04/R05) with a mandatory reason.
 #[derive(Clone, Debug)]
 pub struct RegistryExempt {
-    /// The member's canonical (builder) name, lowercase.
+    /// The member's name: its variant name, lowercased.
     pub name: String,
     pub reason: String,
     /// 1-based `simlint.toml` line of the entry.
@@ -81,14 +79,8 @@ pub struct Registry {
     pub id: String,
     /// 1-based `simlint.toml` line of the section header.
     pub line: usize,
-    /// String-array constant listing the canonical names (R01).
-    pub names: Option<ItemRef>,
-    /// Enum whose variants are the members (R02/R03).
+    /// Enum whose variants are the members.
     pub kinds: Option<ItemRef>,
-    /// Function with `"name" => Enum::Variant` arms (R01/R02).
-    pub builder: Option<ItemRef>,
-    /// `macro_rules!` dispatcher whose arms must cover the enum (R03).
-    pub dispatch: Option<ItemRef>,
     /// Path prefixes of the differential-test leg (R04).
     pub tests: Vec<String>,
     /// Path prefixes of the figure-suite leg (R05).
@@ -305,24 +297,18 @@ impl Config {
                                 reg.figures = list;
                             }
                         }
-                        "names" | "kinds" | "builder" | "dispatch" => {
+                        "kinds" => {
                             let raw = parse_string(&value)
                                 .map_err(|e| format!("simlint.toml:{lineno}: {e}"))?;
                             let (path, item) = split_item_ref(&raw).ok_or_else(|| {
                                 format!(
-                                    "simlint.toml:{lineno}: `{key}` must be `path#item`, \
+                                    "simlint.toml:{lineno}: `kinds` must be `path#item`, \
                                      got `{raw}`"
                                 )
                             })?;
-                            let item_ref = ItemRef { path, item };
                             // justified expect: the section header created it
                             let reg = cfg.registry_mut(&id).expect("registry exists");
-                            match key.as_str() {
-                                "names" => reg.names = Some(item_ref),
-                                "kinds" => reg.kinds = Some(item_ref),
-                                "builder" => reg.builder = Some(item_ref),
-                                _ => reg.dispatch = Some(item_ref),
-                            }
+                            reg.kinds = Some(ItemRef { path, item });
                         }
                         other => {
                             return Err(format!(
@@ -474,10 +460,7 @@ paths = ["crates/simlint/tests/fixtures"]
     fn registry_sections_parse() {
         let toml = r#"
 [registry.zoo]
-names = "crates/core/src/pipeline.rs#POLICY_NAMES"
 kinds = "crates/core/src/policy_kind.rs#PolicyKind"
-builder = "crates/core/src/policy_kind.rs#by_name"
-dispatch = "crates/core/src/policy_kind.rs#each_kind"
 tests = ["tests/storage_differential.rs", "tests/policy_differential.rs"]
 figures = ["crates/bench/src/figures"]
 
@@ -489,10 +472,10 @@ figures = ["crates/bench/src/figures"]
         let reg = &cfg.registries[0];
         assert_eq!(reg.id, "zoo");
         assert_eq!(
-            reg.names,
+            reg.kinds,
             Some(ItemRef {
-                path: "crates/core/src/pipeline.rs".into(),
-                item: "POLICY_NAMES".into()
+                path: "crates/core/src/policy_kind.rs".into(),
+                item: "PolicyKind".into()
             })
         );
         assert_eq!(reg.tests.len(), 2);
@@ -513,9 +496,23 @@ figures = ["crates/bench/src/figures"]
 
     #[test]
     fn malformed_item_refs_are_rejected() {
-        assert!(Config::parse("[registry.z]\nnames = \"no-hash\"\n").is_err());
+        assert!(Config::parse("[registry.z]\nkinds = \"no-hash\"\n").is_err());
         assert!(Config::parse("[hotpath]\nfunctions = [\"no-hash\"]\n").is_err());
         assert!(Config::parse("[registry.z.exempt]\n\"x\" = \"r\"\n").is_err());
+    }
+
+    #[test]
+    fn retired_registry_keys_are_rejected() {
+        // The zoo table generates the name list, builder and dispatch, so
+        // a config still pointing simlint at them is stale.
+        for key in ["names", "builder", "dispatch"] {
+            let toml = format!("[registry.z]\n{key} = \"crates/core/src/a.rs#x\"\n");
+            let err = Config::parse(&toml).unwrap_err();
+            assert!(
+                err.contains(&format!("unknown registry key `{key}`")),
+                "{err}"
+            );
+        }
     }
 
     #[test]

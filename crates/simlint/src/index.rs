@@ -4,14 +4,11 @@
 //! The extractor is syntactic and forgiving — it recognizes exactly the
 //! shapes the registry and hot-path rules consume:
 //!
-//! * `const NAME: [&str; N] = ["a", "b", …];` — string-array constants
-//!   (the `POLICY_NAMES` leg),
 //! * `enum Name { Variant(Payload), … }` — variants with their first
-//!   payload type identifier (the `PolicyKind` leg),
-//! * `macro_rules! name { … Enum::Variant … }` — `Path::Variant`
-//!   references inside a macro definition (the dispatch leg),
-//! * `"string" => Self::Variant(…)` match arms anywhere in a named
-//!   function (the builder leg),
+//!   payload type identifier (the registry's member list). A variant may
+//!   carry a trailing `= …` up to the next top-level comma, so the rows of
+//!   a `policy_zoo!` table (`Lru(Lru) = "lru" => Lru::new(),`) index as
+//!   variants too,
 //! * `fn name(…) { … }` definitions with their body line/token span,
 //!   skipping anything inside a `mod tests { … }` block,
 //! * the set of all identifiers and (lowercased) string literals in the
@@ -19,15 +16,6 @@
 
 use crate::tokens::{tokenize, TokKind, Token};
 use std::collections::BTreeSet;
-
-/// A `const NAME: [&str; N] = […]` string-array constant.
-#[derive(Clone, Debug)]
-pub struct ConstArray {
-    pub name: String,
-    pub line: usize,
-    /// Elements in declaration order, each with its source line.
-    pub elems: Vec<(String, usize)>,
-}
 
 /// One enum variant.
 #[derive(Clone, Debug)]
@@ -45,30 +33,6 @@ pub struct EnumDef {
     pub name: String,
     pub line: usize,
     pub variants: Vec<Variant>,
-}
-
-/// An `Enum::Variant` path reference inside a `macro_rules!` body.
-#[derive(Clone, Debug)]
-pub struct PathRef {
-    pub enum_name: String,
-    pub variant: String,
-    pub line: usize,
-}
-
-/// A `macro_rules!` definition with the paths referenced in its body.
-#[derive(Clone, Debug)]
-pub struct MacroDef {
-    pub name: String,
-    pub line: usize,
-    pub paths: Vec<PathRef>,
-}
-
-/// A `"name" => Self::Variant` (or `Enum::Variant`) match arm.
-#[derive(Clone, Debug)]
-pub struct StrArm {
-    pub value: String,
-    pub variant: String,
-    pub line: usize,
 }
 
 /// A function definition and its extent.
@@ -93,11 +57,8 @@ pub struct FnDef {
 #[derive(Clone, Debug, Default)]
 pub struct FileIndex {
     pub tokens: Vec<Token>,
-    pub consts: Vec<ConstArray>,
     pub enums: Vec<EnumDef>,
-    pub macros: Vec<MacroDef>,
     pub fns: Vec<FnDef>,
-    pub str_arms: Vec<StrArm>,
     /// Every identifier in the file (including test modules: a policy
     /// exercised only from `#[cfg(test)]` code still counts as exercised).
     pub idents: BTreeSet<String>,
@@ -107,16 +68,8 @@ pub struct FileIndex {
 }
 
 impl FileIndex {
-    pub fn const_array(&self, name: &str) -> Option<&ConstArray> {
-        self.consts.iter().find(|c| c.name == name)
-    }
-
     pub fn enum_def(&self, name: &str) -> Option<&EnumDef> {
         self.enums.iter().find(|e| e.name == name)
-    }
-
-    pub fn macro_def(&self, name: &str) -> Option<&MacroDef> {
-        self.macros.iter().find(|m| m.name == name)
     }
 
     /// Non-test function definitions named `name`.
@@ -124,19 +77,6 @@ impl FileIndex {
         self.fns
             .iter()
             .filter(move |f| f.name == name && !f.in_tests)
-    }
-
-    /// The string→variant arms inside the (non-test) function `name`.
-    pub fn str_arms_in_fn(&self, name: &str) -> Vec<&StrArm> {
-        let mut out = Vec::new();
-        for f in self.fns_named(name) {
-            out.extend(
-                self.str_arms
-                    .iter()
-                    .filter(|a| a.line >= f.line && a.line <= f.end_line),
-            );
-        }
-        out
     }
 }
 
@@ -159,7 +99,6 @@ impl WorkspaceIndex {
 /// Indexes one file.
 pub fn index_file(source: &str) -> FileIndex {
     let tokens = tokenize(source);
-    let n = tokens.len();
     let mut idx = FileIndex::default();
 
     for t in &tokens {
@@ -178,46 +117,16 @@ pub fn index_file(source: &str) -> FileIndex {
     let test_spans = test_mod_spans(&tokens);
     let in_tests = |i: usize| test_spans.iter().any(|&(a, b)| i > a && i < b);
 
-    let mut i = 0usize;
-    while i < n {
-        let t = &tokens[i];
-        if t.is_ident("const") {
-            if let Some(c) = parse_const_array(&tokens, i) {
-                idx.consts.push(c);
-            }
-        } else if t.is_ident("enum") {
+    for (i, t) in tokens.iter().enumerate() {
+        if t.is_ident("enum") {
             if let Some(e) = parse_enum(&tokens, i) {
                 idx.enums.push(e);
-            }
-        } else if t.is_ident("macro_rules")
-            && tokens.get(i + 1).is_some_and(|t| t.is_punct('!'))
-            && tokens.get(i + 2).is_some_and(|t| t.kind == TokKind::Ident)
-        {
-            if let Some(m) = parse_macro(&tokens, i) {
-                idx.macros.push(m);
             }
         } else if t.is_ident("fn") && tokens.get(i + 1).is_some_and(|t| t.kind == TokKind::Ident) {
             if let Some(f) = parse_fn(&tokens, i, in_tests(i)) {
                 idx.fns.push(f);
             }
-        } else if t.kind == TokKind::Str
-            && tokens.get(i + 1).is_some_and(|t| t.is_punct('='))
-            && tokens.get(i + 2).is_some_and(|t| t.is_punct('>'))
-        {
-            // `"name" => Self::Variant` / `"name" => Enum::Variant`.
-            if tokens.get(i + 3).is_some_and(|t| t.kind == TokKind::Ident)
-                && tokens.get(i + 4).is_some_and(|t| t.is_punct(':'))
-                && tokens.get(i + 5).is_some_and(|t| t.is_punct(':'))
-                && tokens.get(i + 6).is_some_and(|t| t.kind == TokKind::Ident)
-            {
-                idx.str_arms.push(StrArm {
-                    value: t.text.clone(),
-                    variant: tokens[i + 6].text.clone(),
-                    line: t.line,
-                });
-            }
         }
-        i += 1;
     }
 
     idx.tokens = tokens;
@@ -233,7 +142,7 @@ fn test_mod_spans(tokens: &[Token]) -> Vec<(usize, usize)> {
             && tokens.get(i + 1).is_some_and(|t| t.is_ident("tests"))
             && tokens.get(i + 2).is_some_and(|t| t.is_punct('{'))
         {
-            if let Some(close) = matching_brace(tokens, i + 2) {
+            if let Some(close) = group_end(tokens, i + 2) {
                 spans.push((i + 2, close));
             }
         }
@@ -241,71 +150,33 @@ fn test_mod_spans(tokens: &[Token]) -> Vec<(usize, usize)> {
     spans
 }
 
-/// Index of the `}` matching the `{` at `open`.
-fn matching_brace(tokens: &[Token], open: usize) -> Option<usize> {
+/// Index of the token closing the bracket group (`(…)`, `[…]` or `{…}`)
+/// opened at `open`.
+fn group_end(tokens: &[Token], open: usize) -> Option<usize> {
     let mut depth = 0usize;
     for (j, t) in tokens.iter().enumerate().skip(open) {
-        if t.is_punct('{') {
-            depth += 1;
-        } else if t.is_punct('}') {
-            depth -= 1;
-            if depth == 0 {
-                return Some(j);
+        match t.kind {
+            TokKind::Punct('(' | '[' | '{') => depth += 1,
+            TokKind::Punct(')' | ']' | '}') => {
+                depth = depth.checked_sub(1)?;
+                if depth == 0 {
+                    return Some(j);
+                }
             }
+            _ => {}
         }
     }
     None
 }
 
-/// `const NAME: … = ["a", "b", …];` with at least the `= [` part present.
-fn parse_const_array(tokens: &[Token], at: usize) -> Option<ConstArray> {
-    let name_tok = tokens.get(at + 1)?;
-    if name_tok.kind != TokKind::Ident {
-        return None;
-    }
-    // Walk to the `=` before the initializer, bounded by the closing `;`.
-    // The type annotation may itself contain brackets and semicolons
-    // (`[&str; 12]`), so only punctuation at bracket depth 0 counts.
-    let mut j = at + 2;
-    let mut bracket = 0isize;
-    while j < tokens.len() {
-        let t = &tokens[j];
-        if t.is_punct('[') {
-            bracket += 1;
-        } else if t.is_punct(']') {
-            bracket -= 1;
-        } else if bracket == 0 && t.is_punct('=') {
-            break;
-        } else if bracket == 0 && (t.is_punct(';') || t.is_punct('{')) {
-            return None;
-        }
-        j += 1;
-    }
-    if j >= tokens.len() || !tokens.get(j + 1).is_some_and(|t| t.is_punct('[')) {
-        return None;
-    }
-    let mut elems = Vec::new();
-    let mut k = j + 2;
-    while k < tokens.len() && !tokens[k].is_punct(']') {
-        if tokens[k].kind == TokKind::Str {
-            elems.push((tokens[k].text.clone(), tokens[k].line));
-        } else if !tokens[k].is_punct(',') {
-            // Not a flat string array (numbers, nested exprs): skip it.
-            return None;
-        }
-        k += 1;
-    }
-    if elems.is_empty() {
-        return None;
-    }
-    Some(ConstArray {
-        name: name_tok.text.clone(),
-        line: name_tok.line,
-        elems,
-    })
+fn is_group_open(t: &Token) -> bool {
+    matches!(t.kind, TokKind::Punct('(' | '[' | '{'))
 }
 
-/// `enum Name { Variant, Variant(Payload), Variant { … }, … }`.
+/// `enum Name { Variant, Variant(Payload), Variant { … }, … }`. Whatever
+/// follows a variant's name up to the next comma at nesting depth 0 — its
+/// payload, a `= discriminant`, or a zoo row's `= "name" => ctor` — is
+/// skipped.
 fn parse_enum(tokens: &[Token], at: usize) -> Option<EnumDef> {
     let name_tok = tokens.get(at + 1)?;
     if name_tok.kind != TokKind::Ident {
@@ -319,113 +190,50 @@ fn parse_enum(tokens: &[Token], at: usize) -> Option<EnumDef> {
         }
         j += 1;
     }
-    let close = matching_brace(tokens, j)?;
+    let close = group_end(tokens, j)?;
     let mut variants = Vec::new();
     let mut k = j + 1;
     while k < close {
-        // Skip attributes on the variant.
-        while tokens[k].is_punct('#') && tokens.get(k + 1).is_some_and(|t| t.is_punct('[')) {
-            let mut depth = 0usize;
-            k += 1;
-            while k < close {
-                if tokens[k].is_punct('[') {
-                    depth += 1;
-                } else if tokens[k].is_punct(']') {
-                    depth -= 1;
-                    if depth == 0 {
-                        k += 1;
-                        break;
-                    }
-                }
-                k += 1;
-            }
+        let t = &tokens[k];
+        if is_group_open(t) {
+            // A variant attribute's `[…]`.
+            k = group_end(tokens, k)? + 1;
+            continue;
         }
-        if k >= close {
-            break;
-        }
-        if tokens[k].kind != TokKind::Ident {
+        if t.kind != TokKind::Ident {
             k += 1;
             continue;
         }
-        let vname = tokens[k].text.clone();
-        let vline = tokens[k].line;
-        let mut payload = None;
-        k += 1;
-        if k < close && tokens[k].is_punct('(') {
-            // Tuple payload: record the first identifier, skip the rest.
-            let mut depth = 0usize;
-            while k < close {
-                if tokens[k].is_punct('(') {
-                    depth += 1;
-                } else if tokens[k].is_punct(')') {
-                    depth -= 1;
-                    if depth == 0 {
-                        k += 1;
-                        break;
-                    }
-                } else if payload.is_none() && tokens[k].kind == TokKind::Ident {
-                    payload = Some(tokens[k].text.clone());
-                }
-                k += 1;
-            }
-        } else if k < close && tokens[k].is_punct('{') {
-            // Struct payload: skip it.
-            if let Some(c) = matching_brace(tokens, k) {
-                k = c + 1;
-            }
-        } else if k < close && tokens[k].is_punct('=') {
-            // Discriminant: skip to the separating comma.
-            while k < close && !tokens[k].is_punct(',') {
-                k += 1;
-            }
-        }
+        // Tuple payload: record its first identifier.
+        let payload = tokens
+            .get(k + 1)
+            .filter(|p| p.is_punct('('))
+            .and_then(|_| {
+                tokens[k + 2..close]
+                    .iter()
+                    .take_while(|t| !t.is_punct(')'))
+                    .find(|t| t.kind == TokKind::Ident)
+            })
+            .map(|p| p.text.clone());
         variants.push(Variant {
-            name: vname,
+            name: t.text.clone(),
             payload,
-            line: vline,
+            line: t.line,
         });
-        // Skip the separating comma.
-        while k < close && tokens[k].is_punct(',') {
-            k += 1;
+        k += 1;
+        while k < close && !tokens[k].is_punct(',') {
+            k = if is_group_open(&tokens[k]) {
+                group_end(tokens, k)? + 1
+            } else {
+                k + 1
+            };
         }
+        k += 1;
     }
     Some(EnumDef {
         name: name_tok.text.clone(),
         line: name_tok.line,
         variants,
-    })
-}
-
-/// `macro_rules! name { … }`, collecting `Enum::Variant` paths in the body.
-fn parse_macro(tokens: &[Token], at: usize) -> Option<MacroDef> {
-    let name_tok = &tokens[at + 2];
-    let mut j = at + 3;
-    while j < tokens.len() && !tokens[j].is_punct('{') {
-        j += 1;
-    }
-    let close = matching_brace(tokens, j)?;
-    let mut paths = Vec::new();
-    let mut k = j + 1;
-    while k + 3 <= close {
-        if tokens[k].kind == TokKind::Ident
-            && tokens[k + 1].is_punct(':')
-            && tokens[k + 2].is_punct(':')
-            && tokens.get(k + 3).is_some_and(|t| t.kind == TokKind::Ident)
-        {
-            paths.push(PathRef {
-                enum_name: tokens[k].text.clone(),
-                variant: tokens[k + 3].text.clone(),
-                line: tokens[k].line,
-            });
-            k += 4;
-        } else {
-            k += 1;
-        }
-    }
-    Some(MacroDef {
-        name: name_tok.text.clone(),
-        line: name_tok.line,
-        paths,
     })
 }
 
@@ -453,7 +261,7 @@ fn parse_fn(tokens: &[Token], at: usize, in_tests: bool) -> Option<FnDef> {
     if j >= tokens.len() {
         return None;
     }
-    let close = matching_brace(tokens, j)?;
+    let close = group_end(tokens, j)?;
     Some(FnDef {
         name: name_tok.text.clone(),
         line: name_tok.line,
@@ -469,32 +277,20 @@ mod tests {
     use super::*;
 
     const SRC: &str = r#"
-pub const NAMES: [&str; 2] = [
-    "lru",
-    "fifo",
-];
-
 pub enum Kind {
     /// docs
     Lru(Lru),
+    #[allow(dead_code)]
     Fifo(Fifo),
     Bare,
-}
-
-macro_rules! each {
-    ($s:expr, $p:ident => $b:expr) => {
-        match $s {
-            Kind::Lru($p) => $b,
-            Kind::Fifo($p) => $b,
-        }
-    };
+    Point { x: u8, y: u8 },
+    Tagged = 3,
 }
 
 impl Kind {
     pub fn by_name(name: &str) -> Option<Self> {
         Some(match name {
             "lru" => Self::Lru(Lru::new()),
-            "fifo" => Self::Fifo(Fifo::new()),
             _ => return None,
         })
     }
@@ -510,47 +306,36 @@ mod tests {
 "#;
 
     #[test]
-    fn const_arrays_with_element_lines() {
-        let idx = index_file(SRC);
-        let c = idx.const_array("NAMES").expect("NAMES indexed");
-        assert_eq!(c.elems.len(), 2);
-        assert_eq!(c.elems[0].0, "lru");
-        assert_eq!(c.elems[0].1, 3);
-        assert_eq!(c.elems[1].0, "fifo");
-    }
-
-    #[test]
     fn enums_with_payloads() {
         let idx = index_file(SRC);
         let e = idx.enum_def("Kind").expect("Kind indexed");
         let names: Vec<_> = e.variants.iter().map(|v| v.name.as_str()).collect();
-        assert_eq!(names, vec!["Lru", "Fifo", "Bare"]);
+        assert_eq!(names, vec!["Lru", "Fifo", "Bare", "Point", "Tagged"]);
         assert_eq!(e.variants[0].payload.as_deref(), Some("Lru"));
+        assert_eq!(e.variants[1].payload.as_deref(), Some("Fifo"));
         assert_eq!(e.variants[2].payload, None);
+        assert_eq!(e.variants[3].payload, None);
     }
 
     #[test]
-    fn macro_paths_are_collected() {
-        let idx = index_file(SRC);
-        let m = idx.macro_def("each").expect("each indexed");
-        let pairs: Vec<_> = m
-            .paths
-            .iter()
-            .filter(|p| p.enum_name == "Kind")
-            .map(|p| p.variant.as_str())
-            .collect();
-        assert_eq!(pairs, vec!["Lru", "Fifo"]);
+    fn zoo_table_rows_are_variants_without_ghosts() {
+        let src = r#"
+policy_zoo! {
+    pub enum PolicyKind {
+        Lru(Lru) = "lru" => Lru::new(),
+        Random(Random) = "random" => Random::with_seed(0x5eed),
     }
-
-    #[test]
-    fn str_arms_inside_named_fn() {
-        let idx = index_file(SRC);
-        let arms = idx.str_arms_in_fn("by_name");
-        let pairs: Vec<_> = arms
+}
+"#;
+        let idx = index_file(src);
+        let e = idx.enum_def("PolicyKind").expect("table indexed");
+        let got: Vec<_> = e
+            .variants
             .iter()
-            .map(|a| (a.value.as_str(), a.variant.as_str()))
+            .map(|v| (v.name.as_str(), v.payload.as_deref()))
             .collect();
-        assert_eq!(pairs, vec![("lru", "Lru"), ("fifo", "Fifo")]);
+        assert_eq!(got, vec![("Lru", Some("Lru")), ("Random", Some("Random"))]);
+        assert_eq!(e.variants[1].line, 5);
     }
 
     #[test]
@@ -558,6 +343,7 @@ mod tests {
         let idx = index_file(SRC);
         let hot = idx.fns_named("hot").next().expect("hot indexed");
         assert!(hot.body_open_line > 0 && hot.end_line > hot.body_open_line);
+        assert!(idx.fns_named("by_name").next().is_some());
         assert!(idx.fns_named("helper").next().is_none(), "tests skipped");
         assert!(idx.fns.iter().any(|f| f.name == "helper" && f.in_tests));
         assert!(idx.idents.contains("Lru"));

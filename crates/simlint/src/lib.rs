@@ -13,10 +13,10 @@
 //! 1. **Per file**: a line scanner ([`scan`]) separates code from comments
 //!    and blanks literals, the per-file rules ([`rules`]) match on the code
 //!    channel, and a tokenizer + item extractor ([`tokens`], [`index`])
-//!    records the file's consts, enums, macros, functions, and references.
+//!    records the file's enums, functions, and references.
 //! 2. **Cross file**: the per-file indices are joined into a
-//!    [`index::WorkspaceIndex`] and the registry-drift and hot-path rules
-//!    ([`rules_xfile`]) run over it.
+//!    [`index::WorkspaceIndex`] and the registry-reference and hot-path
+//!    rules ([`rules_xfile`]) run over it.
 //!
 //! The engine ([`analyze`]) then applies suppressions — in-source
 //! `// simlint: allow(...) -- reason` comments and the central path
@@ -226,6 +226,23 @@ pub fn analyze(files: &[SourceFile], config: &Config) -> Vec<Diagnostic> {
             fix: "update the [hotpath] entry to the function's new location".to_owned(),
         });
     }
+    for ri in &xa.dead_kinds {
+        let reg = &config.registries[*ri];
+        let Some(kinds) = &reg.kinds else {
+            continue;
+        };
+        out.push(Diagnostic {
+            file: "simlint.toml".to_owned(),
+            line: reg.line,
+            col: 1,
+            rule: "X02",
+            message: format!(
+                "dead registry leg: `{}` kinds `{}#{}` matched no enum (moved or renamed?)",
+                reg.id, kinds.path, kinds.item
+            ),
+            fix: "update the registry's kinds leg to the enum's new location".to_owned(),
+        });
+    }
 
     out.sort_by(|a, b| a.sort_key().cmp(&b.sort_key()));
     out
@@ -360,5 +377,17 @@ mod tests {
         assert!(x02.iter().all(|d| d.file == "simlint.toml"));
         assert!(x02.iter().any(|d| d.message.contains("\"ghost\"")));
         assert!(x02.iter().any(|d| d.message.contains("no_such_fn")));
+    }
+
+    #[test]
+    fn analyze_reports_a_dead_kinds_leg_at_its_registry() {
+        let toml = "[registry.zoo]\nkinds = \"crates/core/src/k.rs#Renamed\"\n";
+        let config = Config::parse(toml).unwrap();
+        let files = [file("crates/core/src/k.rs", "pub enum Kind { Lru }\n")];
+        let diags = analyze(&files, &config);
+        assert_eq!(diags.len(), 1, "{diags:?}");
+        assert_eq!(diags[0].rule, "X02");
+        assert_eq!((diags[0].file.as_str(), diags[0].line), ("simlint.toml", 1));
+        assert!(diags[0].message.contains("k.rs#Renamed"), "{:?}", diags[0]);
     }
 }

@@ -1,10 +1,10 @@
 //! A lightweight Rust tokenizer for the cross-file pass.
 //!
 //! The line scanner ([`crate::scan`]) blanks literal *contents* because the
-//! per-line rules must never fire inside them — but the registry rules need
-//! exactly those contents (`"lru"` in `POLICY_NAMES`, `"srrip" => …` match
-//! arms), so the item index is built from a second, token-level view of the
-//! source. Like the scanner this is deliberately not a full lexer: it
+//! per-line rules must never fire inside them — but R05 needs exactly those
+//! contents (a figure table names a policy by its display string,
+//! `"SRRIP"`), so the item index is built from a second, token-level view
+//! of the source. Like the scanner this is deliberately not a full lexer: it
 //! produces just enough structure for [`crate::index`] — identifiers,
 //! string-literal values, numbers, lifetimes, and single-character
 //! punctuation, each carrying its 1-based source line. Comments are
@@ -19,7 +19,7 @@ pub enum TokKind {
     Ident,
     /// A string or byte-string literal; the token text is the *inner*
     /// value with escape sequences left as written (`\n` stays two chars —
-    /// the registry names this feeds on never use escapes).
+    /// the policy names this feeds on never use escapes).
     Str,
     /// A char literal (`'a'`, `'\n'`); value not preserved.
     Char,

@@ -21,27 +21,35 @@ fn workspace_is_lint_clean() {
 }
 
 #[test]
-fn deleting_a_policy_from_one_registry_leg_fails_the_lint() {
-    // The R-rules' reason to exist: un-wire one leg of a real zoo member
-    // (in memory — the tree is untouched) and the registry must drift
-    // loudly. If this test fails, a policy can be half-removed silently.
+fn half_adding_a_policy_fails_the_lint() {
+    // R04/R05's reason to exist: a zoo row that compiles but that no
+    // differential test or figure references (added in memory — the tree
+    // is untouched) must be reported on both legs. If this test fails, a
+    // policy can be half-added silently.
     let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
     let config = simlint::load_config(&root).expect("simlint.toml parses");
     let mut files = simlint::load_files(&root, &config).expect("workspace walk succeeds");
-    let pipeline = files
+    let table = files
         .iter_mut()
-        .find(|f| f.rel == "crates/core/src/pipeline.rs")
-        .expect("names leg is in the walk");
-    assert!(pipeline.text.contains("\"trrip\","), "zoo member present");
-    pipeline.text = pipeline.text.replace("\"trrip\",", "");
-    let diags = simlint::analyze(&files, &config);
-    assert!(
-        diags
-            .iter()
-            .any(|d| d.rule == "R01" && d.message.contains("\"trrip\"")),
-        "dropping trrip from POLICY_NAMES must trip R01:\n{}",
-        simlint::render_text(&diags)
+        .find(|f| f.rel == "crates/core/src/policy_kind.rs")
+        .expect("zoo table is in the walk");
+    let first_row = "        Lru(Lru) = \"lru\" => Lru::new(),\n";
+    assert!(table.text.contains(first_row), "zoo table row present");
+    table.text = table.text.replacen(
+        first_row,
+        &format!("{first_row}        Ghost(GhostPolicy) = \"ghost\" => GhostPolicy::new(),\n"),
+        1,
     );
+    let diags = simlint::analyze(&files, &config);
+    for rule in ["R04", "R05"] {
+        assert!(
+            diags
+                .iter()
+                .any(|d| d.rule == rule && d.message.contains("\"ghost\"")),
+            "a ghost zoo row must trip {rule}:\n{}",
+            simlint::render_text(&diags)
+        );
+    }
 }
 
 #[test]
